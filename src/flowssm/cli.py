@@ -3,7 +3,8 @@ classify.
 
 Exit codes: 0 success, 1 numeric failure, 2 usage/config error, 3 I/O error.
 All outputs are written atomically (temp file + rename) and every run drops a
-``run.json`` echoing the configuration, seed and content hashes of inputs.
+``run.json`` echoing the configuration, seed, BLAS thread settings and
+content hashes of inputs.
 
 Set ``FLOWSSM_NUM_THREADS`` to cap BLAS/OpenMP thread pools; it must take
 effect before numpy loads, which is why this module defers all numeric
@@ -64,6 +65,8 @@ def _write_run_json(out_dir: Path, command: str, config: dict, inputs: list[Path
         "command": command,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs if p.is_file()},
+        # results are only bit-reproducible at a fixed BLAS thread count
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
         "version": __version__,
     }
     _write_json_atomic(out_dir / "run.json", payload)
@@ -228,7 +231,7 @@ def _load_run_config(path: Path) -> dict:
             raise UsageError(f"config missing required key {key!r}")
     try:
         cfg = TrainingConfig.from_dict(raw.get("training", {}))
-    except Exception as exc:  # unknown keys (TypeError) or bad values (DataError)
+    except Exception as exc:  # unknown keys or bad values
         raise UsageError(f"bad training config: {exc}")
     raw["_training_config"] = cfg
     return raw

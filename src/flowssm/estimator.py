@@ -10,6 +10,7 @@ rows, which is exactly what the latent classification pipeline consumes.
 from __future__ import annotations
 
 import inspect
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -43,6 +44,9 @@ class BaseEstimator:
         return self
 
 
+_DEFAULTS = TrainingConfig()
+
+
 class FlowSsm(BaseEstimator):
     """Landmark-free statistical shape model with a fit/transform surface.
 
@@ -61,22 +65,22 @@ class FlowSsm(BaseEstimator):
 
     def __init__(
         self,
-        latent_dim: int = 128,
-        n_control_points: int = 125,
-        initial_eps: float = 3.0,
-        hidden: tuple[int, ...] = (512, 512, 256, 128),
-        epochs: int = 300,
-        lr: float = 1e-3,
-        batch_size: int = 16,
-        n_sample_points: int = 15000,
-        latent_init_std: float = 0.1,
-        n_steps: int = 8,
-        integrator: str = "rk4",
-        inference_epochs: int = 600,
-        inference_lr: float = 0.01,
-        alpha: float = 0.02,
+        latent_dim: int = _DEFAULTS.latent_dim,
+        n_control_points: int = _DEFAULTS.n_control_points,
+        initial_eps: float = _DEFAULTS.initial_eps,
+        hidden: tuple[int, ...] = _DEFAULTS.hidden,
+        epochs: int = _DEFAULTS.epochs,
+        lr: float = _DEFAULTS.lr,
+        batch_size: int = _DEFAULTS.batch_size,
+        n_sample_points: int = _DEFAULTS.n_sample_points,
+        latent_init_std: float = _DEFAULTS.latent_init_std,
+        n_steps: int = _DEFAULTS.flow.n_steps,
+        integrator: str = _DEFAULTS.flow.integrator,
+        inference_epochs: int = _DEFAULTS.inference_epochs,
+        inference_lr: float = _DEFAULTS.inference_lr,
+        alpha: float = _DEFAULTS.alpha,
         include_local: bool = True,
-        seed: int = 0,
+        seed: int = _DEFAULTS.seed,
     ):
         self.latent_dim = latent_dim
         self.n_control_points = n_control_points
@@ -96,22 +100,9 @@ class FlowSsm(BaseEstimator):
         self.seed = seed
 
     def _config(self) -> TrainingConfig:
-        return TrainingConfig(
-            epochs=self.epochs,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            n_sample_points=self.n_sample_points,
-            latent_init_std=self.latent_init_std,
-            latent_dim=self.latent_dim,
-            n_control_points=self.n_control_points,
-            initial_eps=self.initial_eps,
-            hidden=tuple(self.hidden),
-            alpha=self.alpha,
-            flow=FlowConfig(n_steps=self.n_steps, integrator=self.integrator),
-            inference_epochs=self.inference_epochs,
-            inference_lr=self.inference_lr,
-            seed=self.seed,
-        )
+        flow = FlowConfig(**{f.name: getattr(self, f.name) for f in fields(FlowConfig)})
+        return TrainingConfig(**{f.name: flow if f.name == "flow" else getattr(self, f.name)
+                                 for f in fields(TrainingConfig)})
 
     def fit(self, shapes: list[TriMesh], template: TriMesh | None = None,
             norm_scale: float | None = None) -> "FlowSsm":
@@ -212,24 +203,8 @@ class FlowSsm(BaseEstimator):
     @classmethod
     def from_checkpoint(cls, path) -> "FlowSsm":
         model = load_model(path)
-        cfg = model.config
-        est = cls(
-            latent_dim=cfg.latent_dim,
-            n_control_points=cfg.n_control_points,
-            initial_eps=cfg.initial_eps,
-            hidden=cfg.hidden,
-            epochs=cfg.epochs,
-            lr=cfg.lr,
-            batch_size=cfg.batch_size,
-            n_sample_points=cfg.n_sample_points,
-            latent_init_std=cfg.latent_init_std,
-            n_steps=cfg.flow.n_steps,
-            integrator=cfg.flow.integrator,
-            inference_epochs=cfg.inference_epochs,
-            inference_lr=cfg.inference_lr,
-            alpha=cfg.alpha,
-            include_local=model.has_local,
-            seed=cfg.seed,
-        )
+        params = asdict(model.config)
+        params.update(params.pop("flow"))  # the flow settings are top-level parameters
+        est = cls(**params, include_local=model.has_local)
         est.model_ = model
         return est

@@ -10,7 +10,7 @@ geometry emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import stats
@@ -123,20 +123,7 @@ def evaluate_generality(
 
 def _global_only_view(model: FlowSsmModel) -> FlowSsmModel:
     """A shallow copy with the local stage disabled."""
-    return FlowSsmModel(
-        template=model.template,
-        mlp_global=model.mlp_global,
-        mlp_local=None,
-        cps=model.cps,
-        latent_dim=model.latent_dim,
-        z_global_train=model.z_global_train,
-        z_local_train=None,
-        pca_global=model.pca_global,
-        pca_local=None,
-        config=model.config,
-        norm_scale=model.norm_scale,
-        train_log=model.train_log,
-    )
+    return replace(model, mlp_local=None, z_local_train=None, pca_local=None)
 
 
 def _uniform_random_state(model: FlowSsmModel, rng) -> LatentState:

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NonFiniteValue
 from .mesh.core import PointSet
-from .validation import check_rng
+from .validation import check_count, check_rng
 
 log = logging.getLogger(__name__)
 
@@ -33,8 +33,7 @@ class FlowConfig:
     integrator: str = "rk4"  # "rk4" | "euler"
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise DataError("n_steps must be >= 1")
+        check_count(self.n_steps, "n_steps")
         if self.integrator not in ("rk4", "euler"):
             raise DataError(f"unknown integrator {self.integrator!r}")
 
@@ -296,10 +295,3 @@ def flow_jacobian_check(
         p.zero_grad()
     return max_rel
 
-
-def flow_config_to_dict(cfg: FlowConfig) -> dict:
-    return {"n_steps": cfg.n_steps, "integrator": cfg.integrator}
-
-
-def flow_config_from_dict(d: dict) -> FlowConfig:
-    return FlowConfig(n_steps=int(d["n_steps"]), integrator=str(d["integrator"]))

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
-from .flow import FlowConfig, ImNetMlp, broadcast_latent_rows, integrate_flow
+from .flow import FlowConfig, ImNetMlp, integrate_flow
 from .mesh.core import PointSet, TriMesh
 from .mesh.sampling import farthest_point_sample
 
@@ -129,10 +129,7 @@ def compose_deformers(
 
     if global_stage is not None:
         mlp_g, z_global = global_stage
-        z = ad.as_tensor(z_global)
-        if z.data.ndim == 1:
-            z = broadcast_latent_rows(z, x.data.shape[0])
-        x = integrate_flow(mlp_g, x, z, cfg)
+        x = integrate_flow(mlp_g, x, z_global, cfg)
 
     if local_stage is not None:
         mlp_l, cps, z_local = local_stage

@@ -13,9 +13,8 @@ fitted latents lie exactly in the training span.
 
 from __future__ import annotations
 
-import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -26,13 +25,12 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import load_container, save_container
 from .errors import DataError, DegenerateDataWarning, NonFiniteLoss, NonFiniteValue
-from .flow import (FlowConfig, ImNetMlp, flow_config_from_dict,
-                   flow_config_to_dict, integrate_flow)
+from .flow import FlowConfig, ImNetMlp, integrate_flow
 from .latents import (ControlPointSet, LatentState, compose_deformers,
                       place_control_points, rbf_weights)
 from .mesh.core import PointSet, TriMesh
 from .mesh.sampling import sample_surface
-from .validation import check_matrix, check_rng
+from .validation import check_count, check_matrix, check_rate, check_rng
 
 LOSS_MODES = ("symmetric", "one_sided_deformed_to_target", "one_sided_target_to_deformed")
 
@@ -132,35 +130,31 @@ class TrainingConfig:
 
     def __post_init__(self):
         self.hidden = tuple(int(h) for h in self.hidden)
-        for name in ("epochs", "lr", "batch_size", "n_sample_points",
-                     "latent_init_std", "latent_dim", "n_control_points",
-                     "initial_eps", "inference_epochs", "inference_lr"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"{name} must be positive")
+        for name in ("epochs", "batch_size", "n_sample_points", "latent_dim",
+                     "n_control_points", "inference_epochs"):
+            check_count(getattr(self, name), name)
+        for name in ("lr", "latent_init_std", "initial_eps", "inference_lr"):
+            check_rate(getattr(self, name), name)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "lr": self.lr, "batch_size": self.batch_size,
-            "n_sample_points": self.n_sample_points,
-            "latent_init_std": self.latent_init_std,
-            "latent_dim": self.latent_dim,
-            "n_control_points": self.n_control_points,
-            "initial_eps": self.initial_eps,
-            "hidden": list(self.hidden), "alpha": self.alpha,
-            "flow": flow_config_to_dict(self.flow),
-            "inference_epochs": self.inference_epochs,
-            "inference_lr": self.inference_lr,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "hidden": list(self.hidden)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
         d = dict(d)
         if "flow" in d:
-            d["flow"] = flow_config_from_dict(d["flow"])
-        if "hidden" in d:
-            d["hidden"] = tuple(d["hidden"])
-        return cls(**d)
+            d["flow"] = _from_fields(FlowConfig, d["flow"])
+        return _from_fields(cls, d)
+
+
+def _from_fields(cls, d: dict):
+    """``cls(**d)`` for a dataclass, rejecting keys that are not its fields."""
+    if not isinstance(d, dict):
+        raise DataError(f"{cls.__name__} settings must be a mapping, got {d!r}")
+    unknown = set(d) - {f.name for f in fields(cls)}
+    if unknown:
+        raise DataError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(**d)
 
 
 @dataclass
@@ -247,107 +241,68 @@ def _chamfer_terms(deformed: Tensor, target: np.ndarray, mode: str) -> Tensor:
     raise DataError(f"unknown loss mode {mode!r}")
 
 
-def _stacked_rows(batch_size: int, n: int) -> list[np.ndarray]:
-    return [np.arange(i * n, (i + 1) * n) for i in range(batch_size)]
+def _fit_loss(loss_fn, failure: str, tape: Tape | None = None) -> float:
+    """Record ``loss_fn()`` on ``tape`` (a fresh one by default) and
+    backpropagate; gradients land in its leaves.
+
+    A non-finite value raises NonFiniteLoss("<failure>: <cause>").
+    """
+    try:
+        with tape or Tape() as tape:
+            loss = loss_fn()
+            ad.backward(loss, tape)
+    except NonFiniteValue as exc:
+        raise NonFiniteLoss(f"{failure}: {exc}") from exc
+    return loss.item()
 
 
-def _train_global_stage(shapes, template, cfg: TrainingConfig, rng):
-    n_shapes = len(shapes)
+def _train_stage(shapes, template, cfg: TrainingConfig, rng, name: str,
+                 per_shape: int, flow_inputs, extra: dict | None = None):
+    """Auto-decoder Chamfer training of one deformer: a fresh shared MLP,
+    ``per_shape`` latents per shape and the ``extra`` parameters under Adam.
+
+    ``flow_inputs(batch, x0, z)`` maps the stacked template samples of a batch
+    and the latent table to the flow's start points and per-row latents.
+    Returns the MLP, the trained (N * per_shape, d) latent table and the
+    per-epoch mean losses.
+    """
+    n_shapes, n = len(shapes), cfg.n_sample_points
     mlp = ImNetMlp(3 + cfg.latent_dim, cfg.hidden, alpha=cfg.alpha,
                    seed=rng.integers(2**31))
-    zg = Tensor(rng.normal(0.0, cfg.latent_init_std, size=(n_shapes, cfg.latent_dim)),
-                requires_grad=True)
-    params = {f"g/{k}": v for k, v in mlp.params.items()}
-    params["zg"] = zg
-    opt = Adam(params, lr=cfg.lr)
+    z = Tensor(rng.normal(0.0, cfg.latent_init_std,
+                          size=(n_shapes * per_shape, cfg.latent_dim)),
+               requires_grad=True)
+    opt = Adam({**mlp.params, "z": z, **(extra or {})}, lr=cfg.lr)
     losses = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_shapes)
         epoch_loss = []
         for start in range(0, n_shapes, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            tpl = sample_surface(template, cfg.n_sample_points, seed=rng).points
-            targets = [sample_surface(shapes[i], cfg.n_sample_points, seed=rng).points
-                       for i in batch]
+            tpl = sample_surface(template, n, seed=rng).points
+            targets = [sample_surface(shapes[i], n, seed=rng).points for i in batch]
             x0 = np.tile(tpl, (len(batch), 1))
-            point_owner = np.repeat(batch, cfg.n_sample_points)
-            rows = _stacked_rows(len(batch), cfg.n_sample_points)
-            try:
-                with Tape() as tape:
-                    lat = ad.gather(zg, point_owner)
-                    out = integrate_flow(mlp, x0, lat, cfg.flow)
-                    loss = None
-                    for rr, tgt in zip(rows, targets):
-                        term = _chamfer_terms(ad.gather(out, rr), tgt, "symmetric")
-                        loss = term if loss is None else loss + term
-                    loss = ad.scale(loss, 1.0 / len(batch))
-                    ad.backward(loss, tape)
-            except NonFiniteValue as exc:
-                raise NonFiniteLoss(
-                    f"global stage diverged at epoch {epoch}: {exc}") from exc
+
+            def batch_loss():
+                out = integrate_flow(mlp, *flow_inputs(batch, x0, z), cfg.flow)
+                loss = None
+                for bi, tgt in enumerate(targets):
+                    rows = np.arange(bi * n, (bi + 1) * n)
+                    term = _chamfer_terms(ad.gather(out, rows), tgt, "symmetric")
+                    loss = term if loss is None else loss + term
+                return ad.scale(loss, 1.0 / len(batch))
+
+            # The previous batch's tape is freed only here, below this batch's
+            # samples on the heap. Freed at the heap top, glibc would hand it back
+            # to the kernel and every batch would fault it in again: training at
+            # the benchmark config ran 40% slower on 2 cores.
+            tape = Tape()
+            loss = _fit_loss(batch_loss, f"{name} stage diverged at epoch {epoch}", tape)
             opt.step()
             opt.zero_grad()
-            epoch_loss.append(loss.item())
+            epoch_loss.append(loss)
         losses.append(float(np.mean(epoch_loss)))
-    return mlp, zg.data.copy(), losses
-
-
-def _global_only_forward(mlp_g, zg_rows: np.ndarray, x0: np.ndarray, cfg: TrainingConfig) -> np.ndarray:
-    """Frozen global deformation (no tape)."""
-    out = integrate_flow(mlp_g, x0, zg_rows, cfg.flow)
-    return out.data
-
-
-def _train_local_stage(shapes, template, cfg: TrainingConfig, rng,
-                       mlp_g: ImNetMlp, zg: np.ndarray, cps_positions: np.ndarray):
-    n_shapes = len(shapes)
-    m = len(cps_positions)
-    mlp = ImNetMlp(3 + cfg.latent_dim, cfg.hidden, alpha=cfg.alpha,
-                   seed=rng.integers(2**31))
-    zl = Tensor(rng.normal(0.0, cfg.latent_init_std, size=(n_shapes * m, cfg.latent_dim)),
-                requires_grad=True)
-    eps = Tensor(np.full(m, cfg.initial_eps), requires_grad=True)
-    params = {f"l/{k}": v for k, v in mlp.params.items()}
-    params["zl"] = zl
-    params["eps"] = eps
-    opt = Adam(params, lr=cfg.lr)
-    losses = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n_shapes)
-        epoch_loss = []
-        for start in range(0, n_shapes, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            tpl = sample_surface(template, cfg.n_sample_points, seed=rng).points
-            targets = [sample_surface(shapes[i], cfg.n_sample_points, seed=rng).points
-                       for i in batch]
-            x0 = np.tile(tpl, (len(batch), 1))
-            zg_rows = zg[np.repeat(batch, cfg.n_sample_points)]
-            x_mid = _global_only_forward(mlp_g, zg_rows, x0, cfg)
-            rows = _stacked_rows(len(batch), cfg.n_sample_points)
-            try:
-                with Tape() as tape:
-                    w = rbf_weights(cps_positions, eps, x_mid)  # (B*n, M)
-                    blocks = []
-                    for bi, shape_idx in enumerate(batch):
-                        w_i = ad.gather(w, rows[bi])
-                        zl_i = ad.gather(zl, shape_idx * m + np.arange(m))
-                        blocks.append(w_i @ zl_i)
-                    z_pts = ad.concat(blocks, axis=0)
-                    out = integrate_flow(mlp, x_mid, z_pts, cfg.flow)
-                    loss = None
-                    for rr, tgt in zip(rows, targets):
-                        term = _chamfer_terms(ad.gather(out, rr), tgt, "symmetric")
-                        loss = term if loss is None else loss + term
-                    loss = ad.scale(loss, 1.0 / len(batch))
-                    ad.backward(loss, tape)
-            except NonFiniteValue as exc:
-                raise NonFiniteLoss(
-                    f"local stage diverged at epoch {epoch}: {exc}") from exc
-            opt.step()
-            opt.zero_grad()
-            epoch_loss.append(loss.item())
-        losses.append(float(np.mean(epoch_loss)))
-    return mlp, zl.data.reshape(n_shapes, m, cfg.latent_dim).copy(), np.abs(eps.data.copy()), losses
+    return mlp, z.data.copy(), losses
 
 
 def train(
@@ -369,9 +324,11 @@ def train(
     _check_preprocessed(shapes + [template])
     rng = check_rng(cfg.seed)
 
-    mlp_g, zg, losses_g = _train_global_stage(shapes, template, cfg, rng)
-    pca_global = fit_pca(zg)
+    def global_inputs(batch, x0, zg):
+        return x0, ad.gather(zg, np.repeat(batch, cfg.n_sample_points))
 
+    mlp_g, zg, losses_g = _train_stage(shapes, template, cfg, rng, "global", 1,
+                                       global_inputs)
     model = FlowSsmModel(
         template=template,
         mlp_global=mlp_g,
@@ -380,7 +337,7 @@ def train(
         latent_dim=cfg.latent_dim,
         z_global_train=zg,
         z_local_train=None,
-        pca_global=pca_global,
+        pca_global=fit_pca(zg),
         pca_local=None,
         config=cfg,
         norm_scale=norm_scale,
@@ -400,30 +357,33 @@ def add_local_stage(
     both by :func:`train` and by the global-vs-local ablation.
     """
     cfg = model.config
-    if rng is None:
-        # continue from a documented offset so a separate ablation call is
-        # reproducible without replaying stage 1's RNG consumption
-        rng = check_rng(cfg.seed + 1_000_003)
+    # without a generator, continue from a documented offset so a separate
+    # ablation call is reproducible without replaying stage 1's RNG consumption
+    rng = check_rng(cfg.seed + 1_000_003 if rng is None else rng)
     cps = place_control_points(model.template, cfg.n_control_points,
                                cfg.initial_eps, seed=cfg.seed)
-    mlp_l, zl, eps, losses_l = _train_local_stage(
-        shapes, model.template, cfg, rng, model.mlp_global,
-        model.z_global_train, cps.positions)
-    cps = ControlPointSet(cps.positions, np.maximum(eps, 1e-6))
-    flat = zl.reshape(len(shapes), -1)
-    pca_local = fit_pca(flat)
-    return FlowSsmModel(
-        template=model.template,
-        mlp_global=model.mlp_global,
+    m, n = cps.m, cfg.n_sample_points
+    eps = Tensor(np.full(m, cfg.initial_eps), requires_grad=True)
+    mlp_g = model.mlp_global.frozen()
+
+    def local_inputs(batch, x0, zl):
+        # frozen weights and constant latents: the global pass records nothing
+        x_mid = integrate_flow(mlp_g, x0, model.z_global_train[np.repeat(batch, n)], cfg.flow)
+        w = rbf_weights(cps.positions, eps, x_mid)  # (B*n, M)
+        blocks = [ad.gather(w, np.arange(bi * n, (bi + 1) * n))
+                  @ ad.gather(zl, shape_idx * m + np.arange(m))
+                  for bi, shape_idx in enumerate(batch)]
+        return x_mid, ad.concat(blocks, axis=0)
+
+    mlp_l, zl, losses_l = _train_stage(shapes, model.template, cfg, rng, "local", m,
+                                       local_inputs, {"eps": eps})
+    zl = zl.reshape(len(shapes), m, cfg.latent_dim)
+    return replace(
+        model,
         mlp_local=mlp_l,
-        cps=cps,
-        latent_dim=cfg.latent_dim,
-        z_global_train=model.z_global_train,
+        cps=ControlPointSet(cps.positions, np.maximum(np.abs(eps.data), 1e-6)),
         z_local_train=zl,
-        pca_global=model.pca_global,
-        pca_local=pca_local,
-        config=cfg,
-        norm_scale=model.norm_scale,
+        pca_local=fit_pca(zl.reshape(len(shapes), -1)),
         train_log={**model.train_log, "stage2": losses_l},
     )
 
@@ -445,18 +405,6 @@ def _span_latent(coeff, basis: PcaBasis, shape: tuple[int, ...]) -> Tensor:
     return ad.reshape(ad.reshape(coeff, (1, basis.n_modes)) @ basis.components, shape) + mean
 
 
-def _fit_loss(deform, coeffs: list[Tensor], target: np.ndarray, loss_mode: str,
-              stage: str) -> float:
-    """Chamfer loss of ``deform(*coeffs)``; gradients land in ``coeffs``."""
-    try:
-        with Tape() as tape:
-            loss = _chamfer_terms(deform(*coeffs), target, loss_mode)
-            ad.backward(loss, tape)
-    except NonFiniteValue as exc:
-        raise NonFiniteLoss(f"{stage} latent fit diverged: {exc}") from exc
-    return loss.item()
-
-
 # L-BFGS stops once an iteration lowers the fixed-sample Chamfer loss (< 1, so
 # scipy's relative test is absolute here) by less than this. One sample's own
 # noise is ~1e-3; going on to scipy's default 2.2e-9 made refits ~1.5x
@@ -470,7 +418,8 @@ def _lbfgs_coefficients(deform, n_modes: int, target: np.ndarray, loss_mode: str
 
     def loss_and_grad(c):
         coeff = Tensor(c, requires_grad=True)
-        loss = _fit_loss(deform, [coeff], target, loss_mode, stage)
+        loss = _fit_loss(lambda: _chamfer_terms(deform(coeff), target, loss_mode),
+                         f"{stage} latent fit diverged")
         return loss, coeff.grad
 
     result = minimize(loss_and_grad, np.zeros(n_modes), jac=True,
@@ -520,10 +469,8 @@ def fit_latent(
     iters = cfg.inference_epochs if iters is None else iters
     lr = cfg.inference_lr if lr is None else lr
     n_pts = cfg.n_sample_points if n_sample_points is None else n_sample_points
-    if isinstance(iters, bool) or not isinstance(iters, numbers.Integral) or iters <= 0:
-        raise DataError(f"iters must be a positive integer, got {iters!r}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise DataError(f"lr must be positive and finite, got {lr!r}")
+    check_count(iters, "iters")
+    check_rate(lr, "lr")
     rng = check_rng(seed)
 
     basis_g = model.pca_global
@@ -562,7 +509,8 @@ def fit_latent(
         for step in range(steps):
             tpl = sample_surface(model.template, n_pts, seed=rng).points
             tgt = _resolve_target(target, 4 * n_pts, rng)
-            _fit_loss(partial(deform, tpl), params, tgt, loss_mode, "joint")
+            _fit_loss(lambda: _chamfer_terms(deform(tpl, *params), tgt, loss_mode),
+                      "joint latent fit diverged")
             opt.step()
             opt.zero_grad()
             if step >= steps - tail:

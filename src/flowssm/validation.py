@@ -7,6 +7,8 @@ finiteness, and normalize seeds into :class:`numpy.random.Generator`.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DataError, NonFiniteValue, ShapeMismatch
@@ -75,7 +77,16 @@ def check_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def check_positive(value, name: str):
-    if not value > 0:
-        raise DataError(f"{name} must be positive, got {value!r}")
+def check_count(value, name: str) -> int:
+    """A positive integer (bools and integral floats are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+        raise DataError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def check_rate(value, name: str) -> float:
+    """A positive, finite real number (bools are rejected)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (np.isfinite(value) and value > 0)):
+        raise DataError(f"{name} must be positive and finite, got {value!r}")
     return value

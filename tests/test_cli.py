@@ -162,12 +162,17 @@ def test_train_rejects_unknown_config_keys(tmp_path, synth_dir):
     assert run("train", "--config", path) == 2
 
 
-def test_train_rejects_unknown_training_keys(tmp_path, synth_dir):
+@pytest.mark.parametrize("training", [
+    {"epochs": 1, "nonsense": True},
+    {"epochs": 1.5},
+    {"flow": {"n_steps": 2.5, "integrator": "rk4"}},
+], ids=["unknown_key", "fractional_epochs", "fractional_n_steps"])
+def test_train_rejects_unknown_training_keys(tmp_path, synth_dir, training):
     cfg = {
         "dataset_dir": str(synth_dir),
         "template": str(synth_dir / "template.obj"),
         "output_dir": str(tmp_path / "o"),
-        "training": {"epochs": 1, "nonsense": True},
+        "training": training,
     }
     path = tmp_path / "bad2.json"
     path.write_text(json.dumps(cfg))
@@ -249,6 +254,8 @@ class TestWithTrainedCheckpoint:
         assert run_meta["command"] == "train"
         assert run_meta["inputs"]  # content hashes recorded
         assert "version" in run_meta
+        assert set(run_meta["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
 
 def test_classify_command(tmp_path):

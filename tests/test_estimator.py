@@ -92,7 +92,7 @@ def test_save_and_from_checkpoint(fitted, tmp_path):
     path = tmp_path / "est.fssm"
     est.save(path)
     est2 = FlowSsm.from_checkpoint(path)
-    assert est2.latent_dim == est.latent_dim
+    assert est2.get_params() == est.get_params()
     w1 = est.model_.training_weights()
     w2 = est2.model_.training_weights()
     np.testing.assert_allclose(w1, w2, atol=1e-12)

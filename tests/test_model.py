@@ -3,8 +3,9 @@ import pytest
 
 from flowssm.errors import DataError, DegenerateDataWarning
 from flowssm.mesh import chamfer_distance, sample_surface
-from flowssm.model import (PcaBasis, fit_latent, fit_pca, load_model,
-                           sample_shape, save_model, train)
+from flowssm.flow import FlowConfig
+from flowssm.model import (PcaBasis, TrainingConfig, fit_latent, fit_pca,
+                           load_model, sample_shape, save_model, train)
 from flowssm.synthetic import FamilySpec, family_template, generate_family
 
 from conftest import tiny_config
@@ -61,6 +62,29 @@ def test_train_rejects_unnormalized_shapes(ellipsoid_family):
         train(big, ellipsoid_family["template"], tiny_config(epochs=1))
 
 
+@pytest.mark.parametrize("bad", [
+    {"epochs": 1.5}, {"epochs": True}, {"batch_size": 4.0}, {"n_sample_points": "350"},
+    {"latent_dim": 0}, {"n_control_points": 2.5}, {"inference_epochs": -3},
+    {"lr": float("inf")}, {"inference_lr": float("nan")}, {"latent_init_std": True},
+])
+def test_training_config_rejects_bad_values(bad):
+    with pytest.raises(DataError):
+        tiny_config(**bad)
+
+
+def test_config_dict_round_trip_and_key_checks():
+    cfg = tiny_config()
+    assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(DataError):
+        FlowConfig(n_steps=2.5)
+    with pytest.raises(DataError):
+        FlowConfig(n_steps=False)
+    with pytest.raises(DataError):
+        TrainingConfig.from_dict({"flow": {"n_steps": 4, "order": 2}})
+    with pytest.raises(DataError):
+        TrainingConfig.from_dict({"epochs": 3, "nonsense": True})
+
+
 def test_trained_model_basics(tiny_model):
     model = tiny_model["model"]
     assert model.has_local
@@ -69,6 +93,8 @@ def test_trained_model_basics(tiny_model):
     # loss curves exist for both stages
     assert len(model.train_log["stage1"]) == model.config.epochs
     assert len(model.train_log["stage2"]) == model.config.epochs
+    # the local stage runs the global deformer frozen: no gradient lands there
+    assert all(p._grad is None for p in model.mlp_global.params.values())
 
 
 def test_stage2_starts_near_stage1_loss(tiny_model):
