@@ -95,17 +95,14 @@ def interpolate_latent(cps: ControlPointSet, z_local, x) -> Tensor:
 
     The sum is unnormalized: far from every control point the latent decays
     to zero, which in turn makes the local deformer act as the identity
-    there. Accepts tensors for positions/widths so training can
-    differentiate through the kernel.
+    there.
     """
     x = ad.as_tensor(x)
     single = x.data.ndim == 1
     if single:
         x = ad.reshape(x, (1, 3))
     z = ad.as_tensor(z_local)
-    positions = cps.positions if isinstance(cps, ControlPointSet) else cps[0]
-    widths = cps.inverse_widths if isinstance(cps, ControlPointSet) else cps[1]
-    w = rbf_weights(positions, widths, x)
+    w = rbf_weights(cps.positions, cps.inverse_widths, x)
     out = w @ z
     return ad.reshape(out, (z.data.shape[1],)) if single else out
 

@@ -71,6 +71,13 @@ class TriMesh:
         return self
 
 
+def _centroid_balls(tri: np.ndarray) -> tuple[np.ndarray, float]:
+    """Face centroids and ``r_max``, the largest centroid-to-corner distance."""
+    centroids = tri.mean(axis=1)
+    radii = np.linalg.norm(tri - centroids[:, None, :], axis=2).max(axis=1)
+    return centroids, float(radii.max())
+
+
 @dataclass
 class PointSet:
     """Unordered 3D sample points with a provenance tag."""

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 
 from ..errors import DataError
 from ..validation import check_points
-from .core import PointSet, TriMesh
+from .core import PointSet, TriMesh, _centroid_balls
 from .sampling import sample_surface
 
 
@@ -138,9 +138,7 @@ def closest_point_on_mesh(points, mesh: TriMesh) -> tuple[np.ndarray, np.ndarray
     p = _as_points(points)
     tri = mesh.triangles()
     n_faces = len(tri)
-    centroids = tri.mean(axis=1)
-    radii = np.linalg.norm(tri - centroids[:, None, :], axis=2).max(axis=1)
-    r_max = float(radii.max())
+    centroids, r_max = _centroid_balls(tri)
 
     tree = cKDTree(centroids)
     k = min(8, n_faces)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..errors import DataError
-from .core import TriMesh
+from .core import TriMesh, _centroid_balls
 
 
 def _project_to_plane_axes(normal: np.ndarray) -> tuple[int, int]:
@@ -122,78 +123,6 @@ def triangles_intersect(t1: np.ndarray, t2: np.ndarray) -> bool:
     return i1[0] <= i2[1] and i2[0] <= i1[1]
 
 
-class _AabbTree:
-    """Median-split AABB hierarchy over mesh faces (leaf size 8)."""
-
-    LEAF_SIZE = 8
-
-    def __init__(self, triangles: np.ndarray):
-        self.tri_lo = triangles.min(axis=1)
-        self.tri_hi = triangles.max(axis=1)
-        # nodes: (lo, hi, left, right, face_indices-or-None)
-        self.nodes: list[tuple] = []
-        self._build(np.arange(len(triangles)))
-
-    def _build(self, idx: np.ndarray) -> int:
-        lo = self.tri_lo[idx].min(axis=0)
-        hi = self.tri_hi[idx].max(axis=0)
-        node_id = len(self.nodes)
-        if len(idx) <= self.LEAF_SIZE:
-            self.nodes.append((lo, hi, -1, -1, idx))
-            return node_id
-        self.nodes.append(None)  # placeholder
-        centers = (self.tri_lo[idx] + self.tri_hi[idx]) / 2.0
-        axis = int(np.argmax(hi - lo))
-        order = np.argsort(centers[:, axis], kind="stable")
-        half = len(idx) // 2
-        left = self._build(idx[order[:half]])
-        right = self._build(idx[order[half:]])
-        self.nodes[node_id] = (lo, hi, left, right, None)
-        return node_id
-
-    def self_candidate_pairs(self) -> np.ndarray:
-        """All face pairs (i < j) whose AABBs overlap."""
-        pairs: list[tuple[int, int]] = []
-        stack = [(0, 0)]
-        while stack:
-            a, b = stack.pop()
-            lo_a, hi_a, left_a, right_a, faces_a = self.nodes[a]
-            lo_b, hi_b, left_b, right_b, faces_b = self.nodes[b]
-            if a != b and (np.any(lo_a > hi_b) or np.any(lo_b > hi_a)):
-                continue
-            leaf_a = faces_a is not None
-            leaf_b = faces_b is not None
-            if leaf_a and leaf_b:
-                if a == b:
-                    fa = faces_a
-                    for u in range(len(fa)):
-                        for v in range(u + 1, len(fa)):
-                            i, j = fa[u], fa[v]
-                            pairs.append((min(i, j), max(i, j)))
-                else:
-                    for i in faces_a:
-                        for j in faces_b:
-                            if i != j:
-                                pairs.append((min(i, j), max(i, j)))
-            elif a == b:
-                stack.extend(((left_a, left_a), (right_a, right_a), (left_a, right_a)))
-            elif leaf_a:
-                stack.extend(((a, left_b), (a, right_b)))
-            elif leaf_b:
-                stack.extend(((left_a, b), (right_a, b)))
-            else:
-                stack.extend(((left_a, left_b), (left_a, right_b),
-                              (right_a, left_b), (right_a, right_b)))
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-
-
-def _all_pairs(n: int) -> np.ndarray:
-    i, j = np.triu_indices(n, k=1)
-    return np.stack([i, j], axis=1)
-
-
 def count_self_intersections(
     mesh: TriMesh, method: str = "bvh"
 ) -> tuple[bool, int]:
@@ -201,17 +130,28 @@ def count_self_intersections(
 
     Pairs sharing any vertex index are excluded. Returns
     ``(is_self_intersecting, number_of_intersecting_pairs)``. ``method`` is
-    ``"bvh"`` (AABB-tree pruned) or ``"exhaustive"`` (all pairs, for oracles);
-    both give identical results.
+    ``"bvh"`` (centroid kd-tree pruned) or ``"exhaustive"`` (all pairs, for
+    oracles); both give identical results.
+
+    ``"bvh"`` tests only faces whose centroids lie within ``2 * r_max`` of
+    each other, ``r_max`` being the largest centroid-to-corner distance. Two
+    faces that intersect share a point, within ``r_a`` of one centroid and
+    ``r_b`` of the other, so their centroids are at most ``r_a + r_b <=
+    2 * r_max`` apart and no intersecting pair is skipped. Faces that touch
+    at a single point can sit exactly at that distance, where rounding in
+    the centroids and radii can push them past it, so the search radius
+    gets a relative slack of 1e-9.
     """
     tri = mesh.triangles()
     n = len(tri)
     if n < 2:
         return False, 0
     if method == "bvh":
-        pairs = _AabbTree(tri).self_candidate_pairs()
+        centroids, r_max = _centroid_balls(tri)
+        pairs = cKDTree(centroids).query_pairs(
+            2.0 * r_max * (1.0 + 1e-9), output_type="ndarray")
     elif method == "exhaustive":
-        pairs = _all_pairs(n)
+        pairs = np.stack(np.triu_indices(n, k=1), axis=1)
     else:
         raise DataError(f"unknown method {method!r}")
     if len(pairs) == 0:
@@ -227,7 +167,7 @@ def count_self_intersections(
     if len(pairs) == 0:
         return False, 0
 
-    # AABB filter (no-op for bvh pairs, prunes the exhaustive path)
+    # AABB filter: prunes both methods' candidates to pairs whose boxes overlap
     lo = tri.min(axis=1)
     hi = tri.max(axis=1)
     box_ok = np.all(lo[pairs[:, 0]] <= hi[pairs[:, 1]], axis=1) & np.all(

@@ -30,7 +30,7 @@ from .latents import (ControlPointSet, LatentState, compose_deformers,
                       place_control_points, rbf_weights)
 from .mesh.core import PointSet, TriMesh
 from .mesh.sampling import sample_surface
-from .validation import check_count, check_matrix, check_rate, check_rng
+from .validation import check_count, check_matrix, check_rate, check_rng, check_seed
 
 LOSS_MODES = ("symmetric", "one_sided_deformed_to_target", "one_sided_target_to_deformed")
 
@@ -135,6 +135,7 @@ class TrainingConfig:
             check_count(getattr(self, name), name)
         for name in ("lr", "latent_init_std", "initial_eps", "inference_lr"):
             check_rate(getattr(self, name), name)
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "hidden": list(self.hidden)}

@@ -70,11 +70,18 @@ def check_faces(faces, n_vertices: int, name: str = "faces") -> np.ndarray:
     return arr
 
 
+def check_seed(seed) -> int:
+    """A non-negative integer seed (bools and integral floats are rejected)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def check_rng(seed) -> np.random.Generator:
-    """Normalize an int seed or Generator into a numpy Generator."""
+    """Normalize a non-negative int seed or Generator into a numpy Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.Generator(np.random.PCG64(seed))
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
 
 
 def check_count(value, name: str) -> int:

@@ -166,7 +166,8 @@ def test_train_rejects_unknown_config_keys(tmp_path, synth_dir):
     {"epochs": 1, "nonsense": True},
     {"epochs": 1.5},
     {"flow": {"n_steps": 2.5, "integrator": "rk4"}},
-], ids=["unknown_key", "fractional_epochs", "fractional_n_steps"])
+    {"seed": -1},
+], ids=["unknown_key", "fractional_epochs", "fractional_n_steps", "negative_seed"])
 def test_train_rejects_unknown_training_keys(tmp_path, synth_dir, training):
     cfg = {
         "dataset_dir": str(synth_dir),
@@ -209,6 +210,13 @@ class TestWithTrainedCheckpoint:
                        "--seed", 5, "--out-dir", d) == 0
         for name in ("sample_000.obj", "sample_001.obj"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_sample_negative_seed_exit_2(self, trained, capsys):
+        out = trained["tmp"] / "s_bad"
+        assert run("sample", "--checkpoint", trained["ckpt"], "--n", 1,
+                   "--seed", -1, "--out-dir", out) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not list(out.glob("*.obj"))
 
     def test_fit_one_sided_half_mesh(self, trained):
         full = load_mesh(trained["pre"] / "member_000.obj")

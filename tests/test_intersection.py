@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
+from scipy.spatial.transform import Rotation
 
 from flowssm.mesh import TriMesh, count_self_intersections, triangles_intersect
-from flowssm.synthetic import icosphere
+from flowssm.synthetic import FamilySpec, generate_family, icosphere
 
 
 def test_convex_sphere_has_no_self_intersections():
@@ -44,12 +46,36 @@ def random_soup(n_faces, seed) -> TriMesh:
     return TriMesh(verts, faces)
 
 
-def test_bvh_equals_exhaustive_on_random_mesh():
-    mesh = random_soup(500, seed=8)
-    fast = count_self_intersections(mesh, method="bvh")
-    brute = count_self_intersections(mesh, method="exhaustive")
-    assert fast == brute
-    assert brute[1] > 0  # a dense soup certainly intersects somewhere
+def exact_touch_pairs(n) -> list[TriMesh]:
+    """Two-face meshes whose faces meet in one point, at centroid distance
+    exactly twice the largest centroid-to-corner distance: the candidate
+    search radius, so rounding decides unless the radius has slack."""
+    verts = np.array([[0, 0, 0], [-1, 0.1, 0], [-1, -0.1, 0],
+                      [0, 0, 0], [1, 0, 0.1], [1, 0, -0.1]], dtype=float)
+    faces = np.array([[0, 1, 2], [3, 4, 5]])
+    rotations = Rotation.random(n, random_state=0)
+    offsets = np.random.default_rng(0).uniform(-1, 1, size=(n, 3))
+    return [TriMesh(rotations[k].apply(verts) + offsets[k], faces) for k in range(n)]
+
+
+def bumpy_member() -> TriMesh:
+    spec = FamilySpec(family="bumpy_ellipsoid", n_vertices=500, seed=42)
+    return generate_family(spec, 1)[0][0]
+
+
+@pytest.mark.parametrize("make_meshes, intersecting", [
+    (lambda: [random_soup(500, seed=8)], True),  # a dense soup certainly intersects
+    (lambda: exact_touch_pairs(500), True),
+    (lambda: [bumpy_member()], False),
+], ids=["soup", "exact_touch", "bumpy"])
+def test_bvh_equals_exhaustive_on_random_mesh(make_meshes, intersecting):
+    total = 0
+    for mesh in make_meshes():
+        fast = count_self_intersections(mesh, method="bvh")
+        brute = count_self_intersections(mesh, method="exhaustive")
+        assert fast == brute
+        total += brute[1]
+    assert (total > 0) == intersecting
 
 
 def test_invariance_under_vertex_reordering_and_rigid_motion():

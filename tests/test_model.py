@@ -66,6 +66,7 @@ def test_train_rejects_unnormalized_shapes(ellipsoid_family):
     {"epochs": 1.5}, {"epochs": True}, {"batch_size": 4.0}, {"n_sample_points": "350"},
     {"latent_dim": 0}, {"n_control_points": 2.5}, {"inference_epochs": -3},
     {"lr": float("inf")}, {"inference_lr": float("nan")}, {"latent_init_std": True},
+    {"seed": 1.5}, {"seed": -1}, {"seed": True},
 ])
 def test_training_config_rejects_bad_values(bad):
     with pytest.raises(DataError):
