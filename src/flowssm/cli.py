@@ -118,16 +118,27 @@ def _mesh_files(directory: Path) -> list[Path]:
     return files
 
 
-def _load_points_file(path: Path):
-    """Plain-text point clouds: one ``x y z`` (or comma-separated) per line."""
+def _load_text(path: Path, delimiter=None, ndmin: int = 0):
+    """Numbers from a plain-text table; text that is not one raises ParseError."""
     import numpy as np
 
+    from .errors import ParseError
+
+    try:
+        return np.loadtxt(path, delimiter=delimiter, dtype=np.float64, ndmin=ndmin)
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _load_points_file(path: Path):
+    """Plain-text point clouds: one ``x y z`` (or comma-separated) per line."""
+    from .errors import ParseError
     from .mesh.core import PointSet
 
-    text = path.read_text(encoding="utf-8")
-    delim = "," if "," in text.splitlines()[0] else None
-    pts = np.loadtxt(path, delimiter=delim, dtype=np.float64)
-    return PointSet(pts)
+    data = path.read_bytes()
+    if not data.strip():
+        raise ParseError(f"{path}: no points")
+    return PointSet(_load_text(path, "," if b"," in data.split(b"\n", 1)[0] else None))
 
 
 # ---------------------------------------------------------------- commands
@@ -365,8 +376,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    import numpy as np
-
     from .evaluation import classify_monte_carlo
 
     features_path = _require_file(Path(args.features), "features CSV")
@@ -374,8 +383,8 @@ def cmd_classify(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    features = np.loadtxt(features_path, delimiter=",", ndmin=2)
-    labels = np.loadtxt(labels_path, delimiter=",").reshape(-1)
+    features = _load_text(features_path, ",", ndmin=2)
+    labels = _load_text(labels_path, ",").reshape(-1)
     with _OutputLock(out_dir):
         results = classify_monte_carlo(features, labels, n_splits=args.n_splits,
                                        lam=args.lam, seed=args.seed)

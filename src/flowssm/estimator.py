@@ -121,11 +121,7 @@ class FlowSsm(BaseEstimator):
 
     @property
     def n_features_(self) -> int:
-        model = self._require_fitted()
-        n = model.pca_global.n_modes
-        if model.has_local:
-            n += model.pca_local.n_modes
-        return n
+        return self._require_fitted().n_weights
 
     def transform(self, shapes, loss_mode: str = "symmetric",
                   iters: int | None = None, seed: int = 0) -> np.ndarray:
@@ -135,7 +131,7 @@ class FlowSsm(BaseEstimator):
         for i, target in enumerate(shapes):
             state, _ = fit_latent(model, target, loss_mode=loss_mode,
                                   iters=iters, seed=seed + i)
-            rows.append(self._weights_of(state))
+            rows.append(model.weights_of(state))
         return np.stack(rows)
 
     def fit_transform(self, shapes, template: TriMesh | None = None) -> np.ndarray:
@@ -143,33 +139,10 @@ class FlowSsm(BaseEstimator):
         self.fit(shapes, template)
         return self.model_.training_weights()
 
-    def _weights_of(self, state: LatentState) -> np.ndarray:
-        model = self._require_fitted()
-        parts = [model.pca_global.project(state.z_global)]
-        if model.has_local:
-            parts.append(model.pca_local.project(state.z_local.ravel()))
-        return np.concatenate(parts)
-
-    def _state_of(self, weights: np.ndarray) -> LatentState:
-        model = self._require_fitted()
-        weights = np.asarray(weights, dtype=np.float64)
-        kg = model.pca_global.n_modes
-        z_g = model.pca_global.decode(weights[:kg])
-        m = model.cps.m if model.cps is not None else 1
-        if model.has_local:
-            z_l = model.pca_local.decode(weights[kg:]).reshape(m, model.latent_dim)
-        else:
-            z_l = np.zeros((m, model.latent_dim))
-        return LatentState(z_g, z_l)
-
     def inverse_transform(self, weights: np.ndarray) -> list[TriMesh]:
         """Decode PCA-weight rows back into meshes (template connectivity)."""
         model = self._require_fitted()
-        weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
-        if weights.shape[1] != self.n_features_:
-            raise DataError(
-                f"expected {self.n_features_} weight columns, got {weights.shape[1]}")
-        return [model.decode_mesh(self._state_of(w)) for w in weights]
+        return [model.decode_mesh(model.state_of(w)) for w in np.atleast_2d(weights)]
 
     def reconstruct(self, target, loss_mode: str = "symmetric",
                     iters: int | None = None, seed: int = 0) -> tuple[TriMesh, LatentState]:

@@ -10,7 +10,7 @@ geometry emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -91,19 +91,16 @@ def evaluate_generality(
     n_sample_points: int | None = None,
     assd_samples: int = 8000,
     seed: int = 0,
-    use_local: bool = True,
     keep_fitted: bool = False,
 ) -> ArmResult:
     """Fit each held-out shape (symmetric loss) and measure exact ASSD.
 
-    ``use_local=False`` evaluates the global deformer alone (ablation arm);
     ``keep_fitted`` attaches the fitted mesh and latent state to each record.
     """
     result = ArmResult(metric="assd")
-    work = model if use_local else _global_only_view(model)
     for i, target in enumerate(test_shapes):
         state, fitted = fit_latent(
-            work, target, loss_mode="symmetric", iters=iters, lr=lr,
+            model, target, loss_mode="symmetric", iters=iters, lr=lr,
             n_sample_points=n_sample_points, seed=seed + 7919 * i)
         assd = average_symmetric_surface_distance(
             fitted, target, n_samples=assd_samples, seed=seed + i)
@@ -121,11 +118,6 @@ def evaluate_generality(
     return result
 
 
-def _global_only_view(model: FlowSsmModel) -> FlowSsmModel:
-    """A shallow copy with the local stage disabled."""
-    return replace(model, mlp_local=None, z_local_train=None, pca_local=None)
-
-
 def _uniform_random_state(model: FlowSsmModel, rng) -> LatentState:
     """Unshaped comparator latents: raw coordinates uniform in +/- 3 RMS."""
     def draw(mean, train, shape):
@@ -133,13 +125,11 @@ def _uniform_random_state(model: FlowSsmModel, rng) -> LatentState:
         return (mean + rng.uniform(-r, r, size=mean.shape)).reshape(shape)
 
     z_g = draw(model.pca_global.mean, model.z_global_train, (model.latent_dim,))
-    m = model.cps.m if model.cps is not None else 1
     if model.has_local:
         z_l = draw(model.pca_local.mean,
-                   model.z_local_train.reshape(model.n_train, -1),
-                   (m, model.latent_dim))
+                   model.z_local_train.reshape(model.n_train, -1), model.local_shape)
     else:
-        z_l = np.zeros((m, model.latent_dim))
+        z_l = np.zeros(model.local_shape)
     return LatentState(z_g, z_l)
 
 

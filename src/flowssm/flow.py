@@ -17,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, NonFiniteValue
-from .mesh.core import PointSet
 from .validation import check_count, check_rng
 
 log = logging.getLogger(__name__)
@@ -111,9 +110,6 @@ class ImNetMlp:
         twin = copy.copy(self)
         twin.params = {name: Tensor(p.data) for name, p in self.params.items()}
         return twin
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]):
         for name, p in self.params.items():
@@ -212,33 +208,23 @@ def integrate_velocity(v_fn, x0, cfg: FlowConfig, direction: str = "forward") ->
 def integrate_flow(
     mlp: ImNetMlp,
     x0,
-    latent_fn,
+    latents,
     cfg: FlowConfig | None = None,
     direction: str = "forward",
-):
-    """Deform points through the latent-conditioned flow.
+) -> Tensor:
+    """Deform points (P, 3) through the latent-conditioned flow.
 
-    ``latent_fn`` is a latent vector, a (P, d) matrix, or a callable mapping
-    starting positions to a (P, d) matrix; it is evaluated once at the
-    starting positions and held constant along every trajectory. Accepts and
-    returns a PointSet (numpy inputs return a Tensor).
+    ``latents`` is one latent vector shared by all points or a (P, d)
+    matrix; it is held constant along every trajectory.
     """
     cfg = cfg or FlowConfig()
-    as_pointset = isinstance(x0, PointSet)
-    x = ad.as_tensor(x0.points if as_pointset else x0)
-    if callable(latent_fn):
-        latents = latent_fn(x)
-    else:
-        latents = ad.as_tensor(latent_fn)
+    x = ad.as_tensor(x0)
+    latents = ad.as_tensor(latents)
     if latents.data.ndim == 1:
         latents = broadcast_latent_rows(latents, x.data.shape[0])
-
-    out = integrate_velocity(
+    return integrate_velocity(
         lambda pts, t: velocity(mlp, pts, t, latents), x, cfg, direction
     )
-    if as_pointset:
-        return PointSet(out.data.copy(), source=getattr(x0, "source", "external"))
-    return out
 
 
 def flow_jacobian_check(

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError
 from .flow import FlowConfig, ImNetMlp, integrate_flow
-from .mesh.core import PointSet, TriMesh
+from .mesh.core import TriMesh
 from .mesh.sampling import farthest_point_sample
 
 
@@ -112,17 +112,15 @@ def compose_deformers(
     global_stage: tuple[ImNetMlp, np.ndarray] | None,
     local_stage: tuple[ImNetMlp, ControlPointSet, np.ndarray] | None,
     cfg: FlowConfig | None = None,
-):
+) -> Tensor:
     """Flow points through the global deformer, then the local one.
 
     The local stage's per-point latents are interpolated at its own starting
     positions, i.e. the global stage's outputs, and held constant along each
-    trajectory. Either stage may be None (ablation arms). Returns the same
-    kind as the input (PointSet in, PointSet out).
+    trajectory. Either stage may be None (ablation arms).
     """
     cfg = cfg or FlowConfig()
-    as_pointset = isinstance(template_points, PointSet)
-    x = ad.as_tensor(template_points.points if as_pointset else template_points)
+    x = ad.as_tensor(template_points)
 
     if global_stage is not None:
         mlp_g, z_global = global_stage
@@ -132,7 +130,4 @@ def compose_deformers(
         mlp_l, cps, z_local = local_stage
         z_pts = interpolate_latent(cps, z_local, x)
         x = integrate_flow(mlp_l, x, z_pts, cfg)
-
-    if as_pointset:
-        return PointSet(x.data.copy(), source="mesh-sampled")
     return x

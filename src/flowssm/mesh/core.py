@@ -117,9 +117,6 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points) @ self.rotation.T + self.translation
 
-    def apply_mesh(self, mesh: TriMesh) -> TriMesh:
-        return mesh.with_vertices(self.apply(mesh.vertices))
-
     def inverse(self) -> "RigidTransform":
         rot = self.rotation.T
         return RigidTransform(rot, -rot @ self.translation)

@@ -160,7 +160,13 @@ def _from_fields(cls, d: dict):
 
 @dataclass
 class FlowSsmModel:
-    """Trained shape model: template, two deformers and latent statistics."""
+    """Trained shape model: template, two deformers and latent statistics.
+
+    A PCA-weight row is the global PCA coefficients followed by the local
+    ones (``bases`` order); without a local stage it is the global
+    coefficients alone and the state's local block is ``local_shape`` zeros.
+    ``state_of`` and ``weights_of`` convert between rows and states.
+    """
 
     template: TriMesh
     mlp_global: ImNetMlp
@@ -195,25 +201,48 @@ class FlowSsmModel:
         """Deform the template vertices; connectivity is preserved."""
         return self.template.with_vertices(self.decode_points(self.template.vertices, state, cfg))
 
+    @property
+    def local_shape(self) -> tuple[int, int]:
+        """Shape of a state's local block: (M, d), or (1, d) without control points."""
+        return (self.cps.m if self.cps is not None else 1, self.latent_dim)
+
+    @property
+    def bases(self) -> list[PcaBasis]:
+        """The PCA bases in weight-row order."""
+        return [self.pca_global, self.pca_local] if self.has_local else [self.pca_global]
+
+    @property
+    def n_weights(self) -> int:
+        """Length of a PCA-weight row."""
+        return sum(b.n_modes for b in self.bases)
+
+    def state_of(self, weights) -> LatentState:
+        """Decode one PCA-weight row into a latent state."""
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (self.n_weights,):
+            raise DataError(f"expected {self.n_weights} PCA weights, got shape {weights.shape}")
+        kg = self.pca_global.n_modes
+        z_l = (self.pca_local.decode(weights[kg:]).reshape(self.local_shape)
+               if self.has_local else np.zeros(self.local_shape))
+        return LatentState(self.pca_global.decode(weights[:kg]), z_l)
+
+    def weights_of(self, state: LatentState) -> np.ndarray:
+        """The PCA-weight row of a latent state; inverts :meth:`state_of` on the span."""
+        zs = [state.z_global, state.z_local.ravel()]
+        return np.concatenate([b.project(z) for b, z in zip(self.bases, zs)])
+
     def zero_state(self) -> LatentState:
-        m = self.cps.m if self.cps is not None else 1
-        return LatentState(np.zeros(self.latent_dim), np.zeros((m, self.latent_dim)))
+        return LatentState(np.zeros(self.latent_dim), np.zeros(self.local_shape))
 
     def training_states(self) -> list[LatentState]:
-        states = []
-        for i in range(self.n_train):
-            zl = (self.z_local_train[i] if self.z_local_train is not None
-                  else np.zeros((self.cps.m if self.cps else 1, self.latent_dim)))
-            states.append(LatentState(self.z_global_train[i], zl))
-        return states
+        return [LatentState(self.z_global_train[i],
+                            self.z_local_train[i] if self.z_local_train is not None
+                            else np.zeros(self.local_shape))
+                for i in range(self.n_train)]
 
     def training_weights(self) -> np.ndarray:
-        """PCA coefficients of the training shapes (global, then local)."""
-        cols = [np.stack([self.pca_global.project(z) for z in self.z_global_train])]
-        if self.has_local:
-            flat = self.z_local_train.reshape(self.n_train, -1)
-            cols.append(np.stack([self.pca_local.project(z) for z in flat]))
-        return np.concatenate(cols, axis=1)
+        """PCA-weight rows of the training shapes."""
+        return np.stack([self.weights_of(s) for s in self.training_states()])
 
 
 def _check_preprocessed(shapes: list[TriMesh]):
@@ -476,7 +505,6 @@ def fit_latent(
 
     basis_g = model.pca_global
     basis_l = model.pca_local if model.has_local else None
-    shape_l = (model.cps.m if model.cps is not None else 1, model.latent_dim)
     mlp_g = model.mlp_global.frozen()
     mlp_l = model.mlp_local.frozen() if basis_l is not None else None
 
@@ -486,7 +514,7 @@ def fit_latent(
         if c_g is not None:
             stage_g = (mlp_g, _span_latent(c_g, basis_g, (basis_g.dim,)))
         if c_l is not None and basis_l is not None:
-            stage_l = (mlp_l, model.cps, _span_latent(c_l, basis_l, shape_l))
+            stage_l = (mlp_l, model.cps, _span_latent(c_l, basis_l, model.local_shape))
         return compose_deformers(points, stage_g, stage_l, cfg.flow)
 
     tpl = sample_surface(model.template, 2 * n_pts, seed=rng).points
@@ -518,9 +546,7 @@ def fit_latent(
                 sums = [acc + p.data for acc, p in zip(sums, params)]
         c_g, c_l = (acc / tail for acc in sums)
 
-    z_g = basis_g.decode(c_g)
-    z_l = basis_l.decode(c_l).reshape(shape_l) if basis_l is not None else np.zeros(shape_l)
-    state = LatentState(z_g, z_l)
+    state = model.state_of(np.concatenate([c_g, c_l]))
     return state, model.decode_mesh(state)
 
 
@@ -528,16 +554,8 @@ def sample_shape(model: FlowSsmModel, seed=0) -> tuple[TriMesh, LatentState]:
     """Draw a random shape: per-mode N(0, stddev^2) coefficients, decoded
     through the PCA bases and the deformers; template connectivity kept."""
     rng = check_rng(seed)
-    bg = model.pca_global
-    z_g = bg.decode(rng.normal(0.0, 1.0, size=bg.n_modes) * bg.stddevs)
-    m = model.cps.m if model.cps is not None else 1
-    if model.has_local:
-        bl = model.pca_local
-        z_l = bl.decode(rng.normal(0.0, 1.0, size=bl.n_modes) * bl.stddevs)
-        z_l = z_l.reshape(m, model.latent_dim)
-    else:
-        z_l = np.zeros((m, model.latent_dim))
-    state = LatentState(z_g, z_l)
+    stddevs = np.concatenate([b.stddevs for b in model.bases])
+    state = model.state_of(rng.normal(0.0, 1.0, size=len(stddevs)) * stddevs)
     return model.decode_mesh(state), state
 
 

@@ -257,6 +257,17 @@ class TestWithTrainedCheckpoint:
         assert flags[0][2:] in capsys.readouterr().err
         assert not (fit_dir / "fitted.obj").exists()
 
+    @pytest.mark.parametrize("content", [b"", b"1 2 3\n4 five 6\n", b"\xff\xfe\x00\x81"],
+                             ids=["empty", "non_numeric", "not_utf8"])
+    def test_fit_malformed_point_file_exit_3(self, trained, content, capsys):
+        pts_path = trained["tmp"] / "bad.xyz"
+        pts_path.write_bytes(content)
+        fit_dir = trained["tmp"] / "fit_malformed"
+        assert run("fit", "--checkpoint", trained["ckpt"], "--target", pts_path,
+                   "--out-dir", fit_dir) == 3
+        assert "bad.xyz" in capsys.readouterr().err
+        assert not (fit_dir / "fitted.obj").exists()
+
     def test_run_json_written(self, trained):
         run_meta = json.loads((trained["tmp"] / "out" / "run.json").read_text())
         assert run_meta["command"] == "train"
@@ -284,6 +295,18 @@ def test_classify_command(tmp_path):
     assert len(rows) == 10
     accs = [float(r.split(",")[1]) for r in rows[1:]]
     assert all(a == 1.0 for a in accs)
+
+
+@pytest.mark.parametrize("bad", ["features", "labels"])
+def test_classify_non_numeric_csv_exit_3(tmp_path, bad, capsys):
+    paths = {"features": tmp_path / "features.csv", "labels": tmp_path / "labels.csv"}
+    paths["features"].write_text("1.0,2.0\n3.0,4.0\n-1.0,-2.0\n-3.0,-4.0\n")
+    paths["labels"].write_text("1\n1\n-1\n-1\n")
+    paths[bad].write_text(paths[bad].read_text().replace("-1", "minus one", 1))
+    assert run("classify", "--features", paths["features"], "--labels", paths["labels"],
+               "--out-dir", tmp_path / "cls", "--n-splits", 2) == 3
+    assert f"{bad}.csv" in capsys.readouterr().err
+    assert not (tmp_path / "cls" / "accuracy.csv").exists()
 
 
 def test_train_byte_identical_outputs(tmp_path, synth_dir):

@@ -16,6 +16,17 @@ def fitted(ellipsoid_family):
     return est, ellipsoid_family
 
 
+@pytest.fixture(scope="module")
+def fitted_global(ellipsoid_family):
+    est = FlowSsm(
+        latent_dim=4, hidden=(12, 12, 8, 8), epochs=6, lr=2e-3, batch_size=4,
+        n_sample_points=250, n_steps=2, inference_epochs=12, include_local=False,
+        seed=0,
+    )
+    est.fit(ellipsoid_family["shapes"][:6], template=ellipsoid_family["template"])
+    return est
+
+
 def test_get_set_params_round_trip():
     est = FlowSsm(latent_dim=32, epochs=5)
     params = est.get_params()
@@ -71,6 +82,8 @@ def test_inverse_transform_decodes_training_weights(fitted):
     # decoding the stored weights reproduces the stored latent decode
     direct = est.model_.decode_mesh(est.model_.training_states()[0])
     np.testing.assert_allclose(meshes[0].vertices, direct.vertices, atol=1e-9)
+    with pytest.raises(DataError):
+        est.inverse_transform(weights[:2, :-1])
 
 
 def test_sample_returns_meshes(fitted):
@@ -99,3 +112,26 @@ def test_save_and_from_checkpoint(fitted, tmp_path):
     m1 = est.sample(1, seed=9)[0]
     m2 = est2.sample(1, seed=9)[0]
     np.testing.assert_array_equal(m1.vertices, m2.vertices)
+
+
+def test_global_only_weights_and_decoding(fitted_global):
+    est = fitted_global
+    model = est.model_
+    assert not model.has_local
+    assert est.n_features_ == model.pca_global.n_modes
+    meshes = est.inverse_transform(model.training_weights())
+    for mesh, state in zip(meshes, model.training_states()):
+        np.testing.assert_allclose(mesh.vertices, model.decode_mesh(state).vertices,
+                                   atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["composed", "global_only"])
+def test_state_weights_round_trip(fitted, fitted_global, kind):
+    model = (fitted[0] if kind == "composed" else fitted_global).model_
+    for state in model.training_states():
+        back = model.state_of(model.weights_of(state))
+        np.testing.assert_allclose(back.z_global, state.z_global, atol=1e-12)
+        assert back.z_local.shape == model.local_shape
+        np.testing.assert_allclose(back.z_local, state.z_local, atol=1e-12)
+    with pytest.raises(DataError):
+        model.state_of(np.zeros(model.n_weights + 1))

@@ -141,28 +141,6 @@ def test_forward_reverse_round_trip_shrinks_with_steps():
     assert errs[32] < errs[16] < errs[8] < errs[4]
 
 
-def test_integrate_flow_accepts_latent_provider_and_pointset():
-    from flowssm.mesh import PointSet
-
-    mlp = small_mlp(d=2, seed=11, final_scale=0.3)
-    x0 = rand_points(12, 20)
-    z_fixed = np.random.default_rng(21).normal(0, 0.3, size=(12, 2))
-
-    calls = []
-
-    def provider(points):
-        calls.append(points.data.copy())
-        return ad.as_tensor(z_fixed)
-
-    direct = integrate_flow(mlp, x0, z_fixed, FlowConfig(4))
-    via_fn = integrate_flow(mlp, PointSet(x0), provider, FlowConfig(4))
-    assert isinstance(via_fn, PointSet)
-    np.testing.assert_array_equal(via_fn.points, direct.data)
-    # evaluated once, at the starting positions
-    assert len(calls) == 1
-    np.testing.assert_array_equal(calls[0], x0)
-
-
 def test_odd_step_counts_stay_in_time_bounds():
     mlp = small_mlp(d=2, seed=12, final_scale=0.3)
     x0 = rand_points(5, 22)
