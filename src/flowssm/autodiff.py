@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradient, NonFiniteValue, ShapeMismatch
+from .errors import DataError, NonFiniteGradient, NonFiniteValue, ShapeMismatch
 
 _ACTIVE_TAPES: list["Tape"] = []
 
@@ -255,6 +255,63 @@ def matmul(a, b) -> Tensor:
                 a_data.T @ g if b.requires_grad else None)
 
     return _record("matmul", out, (a, b), bwd)
+
+
+def skip_mlp(x, weights, biases, alpha: float) -> Tensor:
+    """Fully connected network on the rows of ``x``, as one tape node.
+
+    Layer ``i`` computes ``h @ weights[i] + biases[i]``. The hidden layers
+    (all but the last) apply ``leaky_relu(., alpha)``, and each hidden layer
+    but the first takes ``concat([h, x], axis=1)`` as its input. Bit-identical
+    in value and gradient to those separate ops for a slope
+    ``0 <= alpha <= 1``, without their per-op tape nodes, checks and
+    intermediate arrays.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise DataError(f"skip_mlp: leaky slope must lie in [0, 1], got {alpha}")
+    x = as_tensor(x)
+    ws, bs = [as_tensor(w) for w in weights], [as_tensor(b) for b in biases]
+    n, n_in = len(ws), x.data.shape[-1] if x.data.ndim else 0
+    skip = [0 < i < n - 1 for i in range(n)]
+    fan_in = [n_in] + [w.data.shape[-1] + n_in * s for w, s in zip(ws, skip[1:])]
+    if x.data.ndim != 2 or not n or n != len(bs) or any(
+            w.data.shape != (f, *b.data.shape) for w, b, f in zip(ws, bs, fan_in)):
+        raise ShapeMismatch(f"skip_mlp: input {x.data.shape}, layers "
+                            f"{[(w.data.shape, b.data.shape) for w, b in zip(ws, bs)]}")
+    inputs, acts = [x.data], []
+    for i in range(n - 1):
+        pre = inputs[i] @ ws[i].data
+        pre += bs[i].data
+        act = pre * alpha
+        np.maximum(act, pre, out=act)
+        acts.append(act)
+        inputs.append(np.concatenate([act, x.data], axis=1) if skip[i + 1] else act)
+    out = inputs[-1] @ ws[-1].data
+    out += bs[-1].data
+
+    def bwd(g):
+        grad_w, grad_b, grad_x = [None] * n, [None] * n, None
+        for i in reversed(range(n)):
+            if i < n - 1:  # g * slope, with the slope 1 or alpha
+                slope = (acts[i] > 0).astype(np.float64)
+                np.maximum(slope, alpha, out=slope)
+                slope *= g
+                g = slope
+            if ws[i].requires_grad:
+                grad_w[i] = inputs[i].T @ g
+            if bs[i].requires_grad:
+                grad_b[i] = g.sum(axis=0)
+            if i == 0 and not x.requires_grad:
+                break
+            g_in = g @ ws[i].data.T
+            if skip[i] or i == 0:
+                # x's gradient summed in the order of the separate ops
+                g_x = g_in[:, g_in.shape[1] - n_in:]
+                grad_x = g_x if grad_x is None else grad_x + g_x
+            g = g_in[:, :g_in.shape[1] - n_in * skip[i]]
+        return (grad_x, *grad_w, *grad_b)
+
+    return _record("skip_mlp", out, (x, *ws, *bs), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -61,6 +61,8 @@ class ImNetMlp:
         self.hidden = tuple(int(h) for h in hidden)
         self.out_dim = int(out_dim)
         self.alpha = float(alpha)
+        if not 0.0 <= self.alpha <= 1.0:
+            raise DataError(f"LeakyReLU slope alpha must lie in [0, 1], got {alpha}")
         rng = check_rng(seed)
         self.params: dict[str, Tensor] = {}
 
@@ -93,13 +95,9 @@ class ImNetMlp:
             raise DataError(
                 f"expected input shape (P, {self.in_dim}), got {h0.data.shape}"
             )
-        n_hidden = len(self.hidden)
-        h = h0
-        for i in range(n_hidden):
-            if 0 < i:
-                h = ad.concat([h, h0], axis=1)
-            h = ad.leaky_relu(h @ self.params[f"w{i}"] + self.params[f"b{i}"], self.alpha)
-        return h @ self.params[f"w{n_hidden}"] + self.params[f"b{n_hidden}"]
+        layers = range(len(self.hidden) + 1)
+        return ad.skip_mlp(h0, [self.params[f"w{i}"] for i in layers],
+                           [self.params[f"b{i}"] for i in layers], self.alpha)
 
     def frozen(self) -> "ImNetMlp":
         """This network with gradients off; shares the weight arrays.

@@ -28,6 +28,8 @@ from flowssm.synthetic import (FamilySpec, family_nearest_neighbor_spread,
                                family_template, generate_family,
                                vertex_pca_baseline)
 
+from conftest import prefetched
+
 BASELINE = json.loads(
     (Path(__file__).parent / "acceptance_baseline.json").read_text())
 
@@ -77,7 +79,7 @@ def bumpy_run():
     }
 
 
-@pytest.fixture(scope="module")
+@prefetched
 def lobed_ablation():
     """Criterion 7 protocol: shared stage 1, 20 held-out lobed shapes."""
     spec = FamilySpec(family="lobed_blob", n_vertices=480, jitter=False,
@@ -439,14 +441,8 @@ def test_vertex_pca_baseline_on_lobed_family(lobed_ablation):
     assert composed.mean <= pdm["mean"], (composed.mean, pdm["mean"])
 
 
-def test_ablation_control_family_without_local_signal():
-    """Pure ellipsoid scaling: both ablation arms land within 20%.
-
-    The comparison isolates the absence of high-frequency signal, so the
-    global arm must be run to saturation (longer training and inference);
-    otherwise the local stage mops up leftover smooth residual and the
-    relative gap reflects under-convergence, not signal.
-    """
+@prefetched
+def ablation_control():
     spec = FamilySpec(family="ellipsoid", n_vertices=420, jitter=True,
                       axis_range=(0.7, 0.92), seed=31)
     members = generate_family(spec, 18)
@@ -457,7 +453,17 @@ def test_ablation_control_family_without_local_signal():
         latent_dim=16, n_control_points=64, initial_eps=3.0,
         hidden=(32, 32, 16, 16), flow=FlowConfig(n_steps=4),
         inference_epochs=250, inference_lr=0.01, seed=2)
-    result = ablate_global_vs_local(shapes[:12], shapes[12:], template, cfg,
-                                    iters=250, assd_samples=4000, seed=9)
-    a, b = result["mean_global_only"], result["mean_composed"]
+    return ablate_global_vs_local(shapes[:12], shapes[12:], template, cfg,
+                                  iters=250, assd_samples=4000, seed=9)
+
+
+def test_ablation_control_family_without_local_signal(ablation_control):
+    """Pure ellipsoid scaling: both ablation arms land within 20%.
+
+    The comparison isolates the absence of high-frequency signal, so the
+    global arm must be run to saturation (longer training and inference);
+    otherwise the local stage mops up leftover smooth residual and the
+    relative gap reflects under-convergence, not signal.
+    """
+    a, b = ablation_control["mean_global_only"], ablation_control["mean_composed"]
     assert abs(a - b) <= 0.2 * max(a, b), (a, b)

@@ -3,7 +3,7 @@ import pytest
 
 from flowssm import autodiff as ad
 from flowssm.autodiff import Adam, AdamState, Tape, Tensor, adam_step
-from flowssm.errors import NonFiniteValue, ShapeMismatch
+from flowssm.errors import DataError, NonFiniteValue, ShapeMismatch
 
 
 def fd_grad(f, x, h=1e-5):
@@ -98,6 +98,66 @@ def test_every_primitive_against_finite_differences():
             check_op(build, *shapes, seed=100 * seed + i, shift=shift)
             probes += sum(int(np.prod(s)) for s in shapes)
     assert probes >= 100
+
+
+def _skip_mlp_separate_ops(x, ws, bs, alpha):
+    h = x
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        if 0 < i < len(ws) - 1:
+            h = ad.concat([h, x], axis=1)
+        h = ad.add(ad.matmul(h, w), b)
+        if i < len(ws) - 1:
+            h = ad.leaky_relu(h, alpha)
+    return h
+
+
+@pytest.mark.parametrize("alpha", [0.02, 0.0, 1.0])
+@pytest.mark.parametrize("trainable", ["all", "frozen_weights", "constant_input"])
+@pytest.mark.parametrize("widths", [(6, 6, 4, 4), (5,)])
+def test_skip_mlp_is_bit_identical_to_separate_ops(alpha, trainable, widths):
+    rng = np.random.default_rng(11)
+    dims = [(7, widths[0])]
+    for i in range(1, len(widths)):
+        dims.append((widths[i - 1] + 7, widths[i]))
+    dims.append((widths[-1], 3))
+    x_data = rng.normal(size=(40, 7))
+    x_data[3] = 0.0  # a row whose first pre-activation is the bias alone
+    w_data = [rng.normal(size=d) for d in dims]
+    b_data = [rng.normal(size=d[1]) * 0.1 for d in dims]
+
+    def run(fused):
+        x = Tensor(x_data.copy(), requires_grad=trainable != "constant_input")
+        ws = [Tensor(w.copy(), requires_grad=trainable != "frozen_weights") for w in w_data]
+        bs = [Tensor(b.copy(), requires_grad=trainable != "frozen_weights") for b in b_data]
+        with Tape() as t:
+            op = ad.skip_mlp if fused else _skip_mlp_separate_ops
+            out = op(x, ws, bs, alpha)
+            ad.backward(ad.tmean(ad.row_norm(out)), t)
+        return [out.data, x.grad, *[p.grad for p in ws + bs]]
+
+    for got, want in zip(run(True), run(False)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_skip_mlp_against_finite_differences():
+    def build(x, w0, b0, w1, b1, w2, b2):
+        return ad.tsum(ad.skip_mlp(x, [w0, w1, w2], [b0, b1, b2], 0.02))
+
+    check_op(build, (5, 3), (3, 4), (4,), (7, 4), (4,), (4, 2), (2,))
+
+
+def test_skip_mlp_rejects_bad_operands():
+    x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+    with pytest.raises(ShapeMismatch):
+        ad.skip_mlp(x, [w], [Tensor(np.ones(3))], 0.02)
+    with pytest.raises(ShapeMismatch):  # the second layer also sees x
+        ad.skip_mlp(x, [w, Tensor(np.ones((4, 4))), w], [Tensor(np.ones(4))] * 3, 0.02)
+    with pytest.raises(ShapeMismatch):
+        ad.skip_mlp(Tensor(np.ones(3)), [w], [Tensor(np.ones(4))], 0.02)
+    with pytest.raises(ShapeMismatch):
+        ad.skip_mlp(x, [], [], 0.02)
+    with pytest.raises(DataError):
+        ad.skip_mlp(x, [w], [Tensor(np.ones(4))], alpha=1.5)
 
 
 def test_backward_linearity():

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from flowssm import autodiff as ad
 from flowssm.autodiff import Tensor
-from flowssm.errors import NonFiniteValue
+from flowssm.errors import DataError, NonFiniteValue
 from flowssm.flow import (FlowConfig, ImNetMlp, flow_jacobian_check,
                           integrate_flow, integrate_velocity, velocity)
 
@@ -203,3 +203,8 @@ def test_euler_gradient_gap_shrinks_with_steps():
     ref = grad_for(256)
     gaps = [np.abs(grad_for(n) - ref).max() for n in (1, 4, 16, 64)]
     assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
+
+
+def test_mlp_rejects_slope_outside_unit_interval():
+    with pytest.raises(DataError):
+        ImNetMlp(7, alpha=-0.1)

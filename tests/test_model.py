@@ -8,7 +8,7 @@ from flowssm.model import (PcaBasis, TrainingConfig, fit_latent, fit_pca,
                            load_model, sample_shape, save_model, train)
 from flowssm.synthetic import FamilySpec, family_template, generate_family
 
-from conftest import tiny_config
+from conftest import prefetched, tiny_config
 
 
 def test_fit_pca_hand_case():
@@ -225,9 +225,8 @@ def test_checkpoint_round_trip(tiny_model, tmp_path):
     assert back.config.latent_dim == model.config.latent_dim
 
 
-def test_training_progress_on_wide_ellipsoid_family():
-    """20 ellipsoids, d=16, M=27, 100 epochs: loss falls below 25% of the
-    initial random-latent value (which equals the undeformed-template loss)."""
+@prefetched
+def wide_ellipsoid_training():
     spec = FamilySpec(family="ellipsoid", n_vertices=450, seed=17,
                       axis_range=(0.45, 1.0))
     shapes = [m for m, _ in generate_family(spec, 20)]
@@ -236,6 +235,15 @@ def test_training_progress_on_wide_ellipsoid_family():
                       batch_size=4, n_sample_points=800, lr=2e-3,
                       hidden=(24, 24, 12, 12))
     model, _ = train(shapes, template, cfg)
+    return {"shapes": shapes, "template": template, "model": model}
+
+
+def test_training_progress_on_wide_ellipsoid_family(wide_ellipsoid_training):
+    """20 ellipsoids, d=16, M=27, 100 epochs: loss falls below 25% of the
+    initial random-latent value (which equals the undeformed-template loss)."""
+    shapes = wide_ellipsoid_training["shapes"]
+    template = wide_ellipsoid_training["template"]
+    model = wide_ellipsoid_training["model"]
 
     rng_initial = []
     tpl = sample_surface(template, 800, seed=100).points
