@@ -1,7 +1,9 @@
+import ctypes
 import multiprocessing
 import os
 import pickle
 import shutil
+import signal
 import sys
 import tempfile
 
@@ -29,7 +31,8 @@ from flowssm.synthetic import FamilySpec, family_template, generate_family  # no
 # selected test uses, and pickles each value to a file. The builds are
 # deterministic, so the value is the one this process would have built. A
 # build that fails (or a worker that dies) is built again here, so the error
-# surfaces, with its traceback, in the test that needs it.
+# surfaces, with its traceback, in the test that needs it. Prefetching needs
+# Linux (fork and the parent-death signal) and a second usable CPU.
 
 _BUILDERS = {}
 _prefetcher = None
@@ -50,7 +53,11 @@ def prefetched(build):
     return pytest.fixture(fixture, scope="module", name=build.__name__)
 
 
-def _build_all(names, directory, conn):
+def _build_all(names, directory, conn, parent):
+    # die with the test process, also when a time limit kills it
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
     os.dup2(devnull, 2)
@@ -74,7 +81,7 @@ class _Prefetcher:
         self.directory = tempfile.mkdtemp(prefix="prefetched-fixtures-")
         self.conn, child = ctx.Pipe(duplex=False)
         self.process = ctx.Process(target=_build_all, daemon=True,
-                                   args=(names, self.directory, child))
+                                   args=(names, self.directory, child, os.getpid()))
         self.process.start()
         child.close()
         self.pending, self.paths = set(names), {}
@@ -108,7 +115,8 @@ def pytest_collection_finish(session):
     global _prefetcher
     used = {name for item in session.items for name in getattr(item, "fixturenames", ())}
     names = [name for name in _BUILDERS if name in used]
-    if names and len(os.sched_getaffinity(0)) > 1 and not session.config.option.collectonly:
+    if (names and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and not session.config.option.collectonly):
         _prefetcher = _Prefetcher(names)
 
 
