@@ -9,11 +9,13 @@ gradients of operands that do not require one (data, frozen weights).
 Elementwise ``add``/``mul`` support numpy broadcasting with gradients
 sum-reduced back to the operand shape (bias rows, kernel-width rows and
 per-point norm columns all ride on this one rule).
+
+:class:`Adam` runs at fixed betas (0.9, 0.999) and eps 1e-8, the defaults
+of Kingma & Ba; only the step size is set. Its ``step()`` consumes the parameters'
+gradients and clears them for the next backward pass.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,37 +86,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def as_tensor(x) -> Tensor:
@@ -375,19 +351,6 @@ def gather(x, index) -> Tensor:
     return _record("gather", out, (x,), bwd)
 
 
-def tsum(x, axis=None) -> Tensor:
-    x = as_tensor(x)
-    out = x.data.sum(axis=axis)
-    in_shape = x.data.shape
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), in_shape).copy(),)
-
-    return _record("sum", out, (x,), bwd)
-
-
 def tmean(x, axis=None) -> Tensor:
     x = as_tensor(x)
     n = x.data.size if axis is None else x.data.shape[axis]
@@ -400,24 +363,6 @@ def tmean(x, axis=None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis) / n, in_shape).copy(),)
 
     return _record("mean", out, (x,), bwd)
-
-
-def l2_norm(x) -> Tensor:
-    """Euclidean norm of the flattened tensor (scalar output).
-
-    Subgradient 0 at the origin, so losses built on distances stay finite
-    when two points coincide exactly.
-    """
-    x = as_tensor(x)
-    norm = float(np.sqrt((x.data**2).sum()))
-    x_data = x.data
-
-    def bwd(g):
-        if norm == 0.0:
-            return (np.zeros_like(x_data),)
-        return (g * x_data / norm,)
-
-    return _record("l2_norm", np.asarray(norm), (x,), bwd)
 
 
 def row_norm(x) -> Tensor:
@@ -458,56 +403,28 @@ def pairwise_sqdist(x, c) -> Tensor:
     return _record("pairwise_sqdist", out, (x, c), bwd)
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam moments plus a shared step counter."""
-
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState):
-    """One bias-corrected Adam update, in place."""
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
 class Adam:
-    """Convenience wrapper driving :func:`adam_step` from tensor ``.grad``."""
+    """Bias-corrected Adam (Kingma & Ba, 2015) over named tensors."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
-        self.state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        self.lr = lr
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
     def step(self):
-        grads = {
-            name: p._grad for name, p in self.params.items() if p._grad is not None
-        }
-        adam_step(self.params, grads, self.state)
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
+        """Update from the parameters' gradients (zero where unset), then clear them."""
+        self.t += 1
+        b1, b2 = self.BETA1, self.BETA2
+        for name, p in self.params.items():
+            g = np.zeros_like(p.data) if p._grad is None else p._grad
+            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**self.t)
+            v_hat = v / (1.0 - b2**self.t)
+            # a new array, not an in-place update: frozen MLP copies share p.data
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            p._grad = None

@@ -13,6 +13,7 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -50,7 +51,7 @@ def save_container(path, tensors: dict[str, np.ndarray], manifest: dict) -> None
 
 
 def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a tensor container; raises ParseError on bad magic or layout."""
+    """Read a tensor container; a bad or truncated layout or trailing bytes raise ParseError."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -61,30 +62,33 @@ def load_container(path) -> tuple[dict[str, np.ndarray], dict]:
     (version,) = struct.unpack_from("<I", data, 8)
     if version != VERSION:
         raise ParseError(f"{path}: unsupported container version {version}")
-    (manifest_len,) = struct.unpack_from("<Q", data, 12)
-    offset = 20
     try:
-        manifest = json.loads(data[offset : offset + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: corrupt manifest: {exc}") from exc
-    offset += manifest_len
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+        return _parse_body(memoryview(data), 12)
+    except ValueError as exc:  # includes bad UTF-8 and JSON
+        raise ParseError(f"{path}: corrupt container: {exc}") from exc
+
+
+def _parse_body(data: memoryview, offset: int) -> tuple[dict[str, np.ndarray], dict]:
+    def take(n: int) -> memoryview:
+        nonlocal offset
+        if offset + n > len(data):
+            raise ValueError(f"truncated: {offset + n} bytes needed, {len(data)} present")
+        offset += n
+        return data[offset - n : offset]
+
+    (manifest_len,) = struct.unpack("<Q", take(8))
+    manifest = json.loads(bytes(take(manifest_len)).decode("utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not a JSON object")
+    (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            name = data[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, offset)
-            offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
-            tensors[name] = arr.reshape(shape).astype(np.float64)
-    except struct.error as exc:
-        raise ParseError(f"{path}: truncated container: {exc}") from exc
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        name = bytes(take(name_len)).decode("utf-8")
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        tensors[name] = arr.reshape(shape).astype(np.float64)
+    if offset != len(data):
+        raise ValueError(f"{len(data) - offset} bytes after the last tensor")
     return tensors, manifest

@@ -117,10 +117,6 @@ class RigidTransform:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points) @ self.rotation.T + self.translation
 
-    def inverse(self) -> "RigidTransform":
-        rot = self.rotation.T
-        return RigidTransform(rot, -rot @ self.translation)
-
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Transform equivalent to applying `other` first, then `self`."""
         return RigidTransform(

@@ -24,7 +24,8 @@ from scipy.spatial import cKDTree
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import load_container, save_container
-from .errors import DataError, DegenerateDataWarning, NonFiniteLoss, NonFiniteValue
+from .errors import (DataError, DegenerateDataWarning, NonFiniteLoss, NonFiniteValue,
+                     ParseError)
 from .flow import FlowConfig, ImNetMlp, integrate_flow
 from .latents import (ControlPointSet, LatentState, compose_deformers,
                       place_control_points, rbf_weights)
@@ -329,7 +330,6 @@ def _train_stage(shapes, template, cfg: TrainingConfig, rng, name: str,
             tape = Tape()
             loss = _fit_loss(batch_loss, f"{name} stage diverged at epoch {epoch}", tape)
             opt.step()
-            opt.zero_grad()
             epoch_loss.append(loss)
         losses.append(float(np.mean(epoch_loss)))
     return mlp, z.data.copy(), losses
@@ -541,7 +541,6 @@ def fit_latent(
             _fit_loss(lambda: _chamfer_terms(deform(tpl, *params), tgt, loss_mode),
                       "joint latent fit diverged")
             opt.step()
-            opt.zero_grad()
             if step >= steps - tail:
                 sums = [acc + p.data for acc, p in zip(sums, params)]
         c_g, c_l = (acc / tail for acc in sums)
@@ -595,39 +594,43 @@ def save_model(model: FlowSsmModel, path) -> None:
 
 
 def load_model(path) -> FlowSsmModel:
+    """Read a :func:`save_model` file; a missing tensor or entry raises ParseError."""
     tensors, manifest = load_container(path)
     if manifest.get("kind") != "flowssm-model":
         raise DataError(f"{path} is not a model checkpoint")
-    cfg = TrainingConfig.from_dict(manifest["config"])
-    template = TriMesh(tensors["template/vertices"],
-                       tensors["template/faces"].astype(np.int64))
-    mlp_g = ImNetMlp.from_spec(manifest["mlp"])
-    mlp_g.load_state_arrays(
-        {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("mlp_global/")})
-    pca_g = PcaBasis(tensors["pca_global/mean"], tensors["pca_global/components"],
-                     tensors["pca_global/stddevs"])
-    has_local = bool(manifest["has_local"])
-    mlp_l = cps = pca_l = z_local = None
-    if has_local:
-        mlp_l = ImNetMlp.from_spec(manifest["mlp"])
-        mlp_l.load_state_arrays(
-            {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("mlp_local/")})
-        cps = ControlPointSet(tensors["cps/positions"], tensors["cps/inverse_widths"])
-        pca_l = PcaBasis(tensors["pca_local/mean"], tensors["pca_local/components"],
-                         tensors["pca_local/stddevs"])
-        n_train = int(manifest["n_train"])
-        z_local = tensors["z_local_train"].reshape(n_train, cps.m, manifest["latent_dim"])
-    return FlowSsmModel(
-        template=template,
-        mlp_global=mlp_g,
-        mlp_local=mlp_l,
-        cps=cps,
-        latent_dim=int(manifest["latent_dim"]),
-        z_global_train=tensors["z_global_train"],
-        z_local_train=z_local,
-        pca_global=pca_g,
-        pca_local=pca_l,
-        config=cfg,
-        norm_scale=manifest.get("norm_scale"),
-        train_log=manifest.get("train_log", {}),
-    )
+    try:
+        cfg = TrainingConfig.from_dict(manifest["config"])
+        template = TriMesh(tensors["template/vertices"],
+                           tensors["template/faces"].astype(np.int64))
+        mlp_g = ImNetMlp.from_spec(manifest["mlp"])
+        mlp_g.load_state_arrays(
+            {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("mlp_global/")})
+        pca_g = PcaBasis(tensors["pca_global/mean"], tensors["pca_global/components"],
+                         tensors["pca_global/stddevs"])
+        has_local = bool(manifest["has_local"])
+        mlp_l = cps = pca_l = z_local = None
+        if has_local:
+            mlp_l = ImNetMlp.from_spec(manifest["mlp"])
+            mlp_l.load_state_arrays(
+                {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("mlp_local/")})
+            cps = ControlPointSet(tensors["cps/positions"], tensors["cps/inverse_widths"])
+            pca_l = PcaBasis(tensors["pca_local/mean"], tensors["pca_local/components"],
+                             tensors["pca_local/stddevs"])
+            n_train = int(manifest["n_train"])
+            z_local = tensors["z_local_train"].reshape(n_train, cps.m, manifest["latent_dim"])
+        return FlowSsmModel(
+            template=template,
+            mlp_global=mlp_g,
+            mlp_local=mlp_l,
+            cps=cps,
+            latent_dim=int(manifest["latent_dim"]),
+            z_global_train=tensors["z_global_train"],
+            z_local_train=z_local,
+            pca_global=pca_g,
+            pca_local=pca_l,
+            config=cfg,
+            norm_scale=manifest.get("norm_scale"),
+            train_log=manifest.get("train_log", {}),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: checkpoint has no entry {exc}") from exc

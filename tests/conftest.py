@@ -5,7 +5,6 @@ import pickle
 import shutil
 import signal
 import sys
-import tempfile
 
 # One BLAS thread, pinned before numpy loads (as the benchmark does). The
 # suite's matrices are a few thousand rows; a second OpenBLAS thread buys
@@ -76,9 +75,10 @@ def _build_all(names, directory, conn, parent):
 class _Prefetcher:
     """One worker process building the named fixtures into pickle files."""
 
-    def __init__(self, names):
+    def __init__(self, names, directory):
         ctx = multiprocessing.get_context("fork")
-        self.directory = tempfile.mkdtemp(prefix="prefetched-fixtures-")
+        self.directory = directory
+        os.mkdir(directory)
         self.conn, child = ctx.Pipe(duplex=False)
         self.process = ctx.Process(target=_build_all, daemon=True,
                                    args=(names, self.directory, child, os.getpid()))
@@ -117,7 +117,10 @@ def pytest_collection_finish(session):
     names = [name for name in _BUILDERS if name in used]
     if (names and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
             and not session.config.option.collectonly):
-        _prefetcher = _Prefetcher(names)
+        # under pytest's basetemp, which pytest prunes to the last few runs,
+        # so a run killed by a signal leaves no directory behind for good
+        basetemp = session.config._tmp_path_factory.getbasetemp()
+        _prefetcher = _Prefetcher(names, str(basetemp / "prefetched-fixtures"))
 
 
 def pytest_sessionfinish(session):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowssm import autodiff as ad
-from flowssm.autodiff import Adam, AdamState, Tape, Tensor, adam_step
+from flowssm.autodiff import Adam, Tape, Tensor
 from flowssm.errors import DataError, NonFiniteValue, ShapeMismatch
 
 
@@ -44,14 +44,8 @@ def check_op(build, *shapes, seed=0, rel_tol=1e-4, shift=0.0):
 def test_simple_analytic_grads():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with Tape() as t:
-        ad.backward(ad.tsum(ad.mul(x, x)), t)
-    np.testing.assert_allclose(x.grad, [2, 4, 6])
-
-    y = Tensor([3.0, 4.0], requires_grad=True)
-    with Tape() as t:
-        ad.backward(ad.l2_norm(y), t)
-    np.testing.assert_allclose(y.grad, [0.6, 0.8])
-    assert ad.l2_norm(Tensor([3.0, 4.0])).item() == pytest.approx(5.0)
+        ad.backward(ad.tmean(ad.mul(x, x)), t)
+    np.testing.assert_allclose(x.grad, [2 / 3, 4 / 3, 2])
 
 
 def test_leaky_relu_values():
@@ -74,24 +68,23 @@ def test_every_primitive_against_finite_differences():
 
         # (build, operand shapes, input shift away from subgradient kinks)
         cases = [
-            (lambda a, b: ad.tsum(ad.add(a, b)), [(3, 4), (3, 4)], 0.0),
-            (lambda a, b: ad.tsum(ad.sub(a, b)), [(3, 4), (3, 4)], 0.0),
-            (lambda a, b: ad.tsum(ad.mul(a, b)), [(3, 4), (3, 4)], 0.0),
-            (lambda a, b: ad.tsum(ad.mul(a, b)), [(3, 4), (4,)], 0.0),    # row broadcast
-            (lambda a, b: ad.tsum(ad.mul(a, b)), [(3, 4), (3, 1)], 0.0),  # column broadcast
-            (lambda a, b: ad.tsum(ad.matmul(a, b)), [(3, 4), (4, 2)], 0.0),
-            (lambda a, b: ad.tsum(ad.mul(ad.concat([a, b], axis=1), ad.concat([a, b], axis=1))),
+            (lambda a, b: ad.tmean(ad.add(a, b)), [(3, 4), (3, 4)], 0.0),
+            (lambda a, b: ad.tmean(ad.sub(a, b)), [(3, 4), (3, 4)], 0.0),
+            (lambda a, b: ad.tmean(ad.mul(a, b)), [(3, 4), (3, 4)], 0.0),
+            (lambda a, b: ad.tmean(ad.mul(a, b)), [(3, 4), (4,)], 0.0),    # row broadcast
+            (lambda a, b: ad.tmean(ad.mul(a, b)), [(3, 4), (3, 1)], 0.0),  # column broadcast
+            (lambda a, b: ad.tmean(ad.matmul(a, b)), [(3, 4), (4, 2)], 0.0),
+            (lambda a, b: ad.tmean(ad.mul(ad.concat([a, b], axis=1), ad.concat([a, b], axis=1))),
              [(3, 2), (3, 3)], 0.0),
-            (lambda a: ad.tsum(ad.leaky_relu(a, 0.02)), [(5, 4)], 0.0),
-            (lambda a: ad.tsum(ad.exp(ad.scale(a, 0.3))), [(4, 4)], 0.0),
-            (lambda a: ad.tsum(ad.mul(ad.reshape(a, (2, 6)), ad.reshape(a, (2, 6)))), [(3, 4)], 0.0),
-            (lambda a: ad.tsum(ad.mul(ad.gather(a, idx), ad.gather(a, idx))), [(5, 3)], 0.0),
-            (lambda a: ad.tsum(ad.mul(a, a).sum(axis=0)), [(3, 4)], 0.0),
+            (lambda a: ad.tmean(ad.leaky_relu(a, 0.02)), [(5, 4)], 0.0),
+            (lambda a: ad.tmean(ad.exp(ad.scale(a, 0.3))), [(4, 4)], 0.0),
+            (lambda a: ad.tmean(ad.mul(ad.reshape(a, (2, 6)), ad.reshape(a, (2, 6)))),
+             [(3, 4)], 0.0),
+            (lambda a: ad.tmean(ad.mul(ad.gather(a, idx), ad.gather(a, idx))), [(5, 3)], 0.0),
             (lambda a: ad.tmean(ad.mul(a, a)), [(3, 4)], 0.0),
-            (lambda a: ad.tsum(ad.tmean(ad.mul(a, a), axis=1)), [(3, 4)], 0.0),
-            (lambda a: ad.l2_norm(a), [(7,)], 1.5),
-            (lambda a: ad.tsum(ad.row_norm(a)), [(6, 3)], 1.5),
-            (lambda a, c: ad.tsum(ad.mul(ad.pairwise_sqdist(a, c), Tensor(w))),
+            (lambda a: ad.tmean(ad.tmean(ad.mul(a, a), axis=1)), [(3, 4)], 0.0),
+            (lambda a: ad.tmean(ad.row_norm(a)), [(6, 3)], 1.5),
+            (lambda a, c: ad.tmean(ad.mul(ad.pairwise_sqdist(a, c), Tensor(w))),
              [(4, 2), (3, 2)], 0.0),
         ]
         for i, (build, shapes, shift) in enumerate(cases):
@@ -141,7 +134,7 @@ def test_skip_mlp_is_bit_identical_to_separate_ops(alpha, trainable, widths):
 
 def test_skip_mlp_against_finite_differences():
     def build(x, w0, b0, w1, b1, w2, b2):
-        return ad.tsum(ad.skip_mlp(x, [w0, w1, w2], [b0, b1, b2], 0.02))
+        return ad.tmean(ad.skip_mlp(x, [w0, w1, w2], [b0, b1, b2], 0.02))
 
     check_op(build, (5, 3), (3, 4), (4,), (7, 4), (4,), (4, 2), (2,))
 
@@ -167,7 +160,7 @@ def test_backward_linearity():
     def grad_of(a, b):
         x = Tensor(x_data.copy(), requires_grad=True)
         with Tape() as t:
-            f = ad.tsum(ad.mul(x, x))
+            f = ad.tmean(ad.mul(x, x))
             g = ad.tmean(ad.exp(ad.scale(x, 0.1)))
             ad.backward(ad.add(ad.scale(f, a), ad.scale(g, b)), t)
         return x.grad
@@ -201,7 +194,7 @@ def test_leaves_off_path_get_zero_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([3.0], requires_grad=True)
     with Tape() as t:
-        ad.backward(ad.tsum(ad.mul(x, x)), t)
+        ad.backward(ad.tmean(ad.mul(x, x)), t)
     assert np.array_equal(y.grad, np.zeros(1))
 
 
@@ -210,17 +203,17 @@ def test_leaf_gradients_are_private_arrays():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([3.0, 4.0], requires_grad=True)
     with Tape() as t:
-        ad.backward(ad.tsum(ad.add(x, y)), t)
+        ad.backward(ad.tmean(ad.add(x, y)), t)
     x.grad[0] = 7.0
-    assert np.array_equal(y.grad, np.ones(2))
+    assert np.array_equal(y.grad, np.full(2, 0.5))
 
 
 def test_constant_operands_get_no_gradient():
     x = Tensor([1.0, 2.0], requires_grad=True)
     c = Tensor([3.0, 4.0])
     with Tape() as t:
-        ad.backward(ad.tsum(ad.mul(x, c)), t)
-    assert np.array_equal(x.grad, [3.0, 4.0])
+        ad.backward(ad.tmean(ad.mul(x, c)), t)
+    assert np.array_equal(x.grad, [1.5, 2.0])
     assert c._grad is None
 
 
@@ -239,18 +232,18 @@ def test_non_finite_forward_raises():
 
 def test_adam_first_step_matches_hand_computation():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    state = AdamState(lr=0.001)
-    adam_step({"p": p}, {"p": np.array([1.0])}, state)
+    p._grad = np.array([1.0])
+    Adam({"p": p}, lr=0.001).step()
     # bias-corrected first step: lr * g / (|g| + eps) = lr / (1 + 1e-8)
     assert p.data[0] == pytest.approx(1.0 - 0.001 / (1.0 + 1e-8), abs=1e-12)
 
 
 def test_adam_zero_gradient_keeps_param():
     p = Tensor(np.array([2.5]), requires_grad=True)
-    state = AdamState(lr=0.01)
-    adam_step({"p": p}, {"p": np.zeros(1)}, state)
+    opt = Adam({"p": p}, lr=0.01)
+    opt.step()
     assert p.data[0] == 2.5
-    assert state.step == 1
+    assert opt.t == 1
 
 
 def test_adam_two_steps_match_scripted_reference():
@@ -266,18 +259,20 @@ def test_adam_two_steps_match_scripted_reference():
         ref = ref - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam({"p": p}, lr=lr)
     for _ in range(2):
-        adam_step({"p": p}, {"p": g.copy()}, state)
+        p._grad = g.copy()
+        opt.step()
     np.testing.assert_allclose(p.data, ref, atol=1e-15)
 
 
-def test_adam_wrapper_consumes_tensor_grads():
+def test_adam_step_consumes_and_clears_tensor_grads():
     p = Tensor(np.ones(3), requires_grad=True)
-    opt = Adam({"p": p}, lr=0.1)
+    q = Tensor(np.ones(2), requires_grad=True)  # off the loss path
+    opt = Adam({"p": p, "q": q}, lr=0.1)
     with Tape() as t:
-        ad.backward(ad.tsum(ad.mul(p, p)), t)
+        ad.backward(ad.tmean(ad.mul(p, p)), t)
     opt.step()
-    opt.zero_grad()
     assert np.all(p.data < 1.0)
-    assert p._grad is None
+    assert np.array_equal(q.data, np.ones(2))
+    assert all(x._grad is None for x in opt.params.values())

@@ -3,6 +3,7 @@ import pytest
 
 from flowssm.checkpoint import MAGIC, load_container, save_container
 from flowssm.errors import IoError, ParseError
+from flowssm.model import load_model, save_model
 
 
 def test_round_trip(tmp_path):
@@ -35,8 +36,46 @@ def test_truncated_container_raises(tmp_path):
     save_container(path, tensors, {})
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises((ParseError, ValueError)):
+    with pytest.raises(ParseError):
         load_container(path)
+
+
+def test_trailing_bytes_raise(tmp_path):
+    path = tmp_path / "data.fssm"
+    save_container(path, {"a": np.ones(3)}, {})
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ParseError, match="after the last tensor"):
+        load_container(path)
+
+
+def test_manifest_must_be_an_object(tmp_path):
+    path = tmp_path / "data.fssm"
+    save_container(path, {}, [1, 2])
+    with pytest.raises(ParseError, match="manifest"):
+        load_container(path)
+
+
+def test_model_truncated_anywhere_raises_parse_error(tiny_model, tmp_path):
+    path = tmp_path / "model.fssm"
+    save_model(tiny_model["model"], path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.fssm"
+    # the header, the manifest, tensor names and shapes, and tensor data
+    for n in [0, 12, 20, 100, *np.linspace(200, len(raw) - 1, 12).astype(int)]:
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ParseError):
+            load_model(cut)
+
+
+def test_model_missing_tensor_raises_parse_error(tiny_model, tmp_path):
+    path = tmp_path / "model.fssm"
+    save_model(tiny_model["model"], path)
+    tensors, manifest = load_container(path)
+    for name in ["pca_global/stddevs", "mlp_local/w0"]:
+        kept = {k: v for k, v in tensors.items() if k != name}
+        save_container(path, kept, manifest)
+        with pytest.raises(ParseError, match=name.split("/")[-1]):
+            load_model(path)
 
 
 def test_magic_is_versioned():

@@ -268,6 +268,28 @@ class TestWithTrainedCheckpoint:
         assert "bad.xyz" in capsys.readouterr().err
         assert not (fit_dir / "fitted.obj").exists()
 
+    @pytest.mark.parametrize("damage", ["truncated", "trailing_byte", "missing_tensor"])
+    def test_fit_damaged_checkpoint_exit_3(self, trained, damage, capsys):
+        from flowssm.checkpoint import load_container, save_container
+
+        ckpt = trained["tmp"] / f"damaged_{damage}.fssm"
+        raw = trained["ckpt"].read_bytes()
+        if damage == "truncated":
+            ckpt.write_bytes(raw[: len(raw) * 2 // 3])
+        elif damage == "trailing_byte":
+            ckpt.write_bytes(raw + b"\x00")
+        else:
+            tensors, manifest = load_container(trained["ckpt"])
+            del tensors["pca_global/mean"]
+            save_container(ckpt, tensors, manifest)
+        fit_dir = trained["tmp"] / f"fit_{damage}"
+        assert run("fit", "--checkpoint", ckpt,
+                   "--target", trained["pre"] / "member_000.obj",
+                   "--iters", 5, "--out-dir", fit_dir) == 3
+        err = capsys.readouterr().err
+        assert ckpt.name in err and "Traceback" not in err
+        assert not (fit_dir / "fitted.obj").exists()
+
     def test_run_json_written(self, trained):
         run_meta = json.loads((trained["tmp"] / "out" / "run.json").read_text())
         assert run_meta["command"] == "train"

@@ -58,7 +58,7 @@ def test_kernel_gradient_matches_analytic():
     x = Tensor(x0.copy(), requires_grad=True)
     with Tape() as tape:
         w = rbf_weights(c, eps, x)
-        ad.backward(ad.tsum(w), tape)
+        ad.backward(ad.tmean(w), tape)  # w is (1, 1)
     diff = c[0] - x0[0]
     analytic = 2.0 * eps[0] ** 2 * diff * np.exp(-(eps[0] ** 2) * (diff @ diff))
     np.testing.assert_allclose(x.grad[0], analytic, atol=1e-12)
