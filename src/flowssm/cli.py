@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -163,7 +164,7 @@ def cmd_synth(args) -> int:
         _save_mesh_atomic(template, out_dir / "template.obj")
         _write_json_atomic(out_dir / "manifest.json", {
             "kind": "flowssm-synthetic-family",
-            "spec": spec.to_dict(),
+            "spec": asdict(spec),
             "n": args.n,
             "parameters": params,
             "template": "template.obj",
@@ -198,25 +199,25 @@ def cmd_preprocess(args) -> int:
 
     with _OutputLock(out_dir):
         template = load_mesh(template_path)
-        aligned = []
-        for p in files:
-            mesh = load_mesh(p)
-            _, moved = icp_align(mesh, template,
-                                 max_iters=args.max_iters, tol=args.tol)
+        names = [p.stem + ".obj" for p in files]
+        aligned, icp = [], {}
+        for p, name in zip(files, names):
+            transform, moved = icp_align(load_mesh(p), template,
+                                         max_iters=args.max_iters, tol=args.tol)
             aligned.append(moved)
+            icp[name] = {"converged": transform.converged,
+                         "n_iterations": transform.n_iterations}
         normalized, scale, centers = normalize_to_unit_box([template] + aligned)
         _save_mesh_atomic(normalized[0], out_dir / "template.obj")
-        names = []
-        for p, mesh in zip(files, normalized[1:]):
-            name = p.stem + ".obj"
+        for name, mesh in zip(names, normalized[1:]):
             _save_mesh_atomic(mesh, out_dir / name)
-            names.append(name)
         _write_json_atomic(manifest_path, {
             "kind": "flowssm-preprocess",
             "scale": scale,
             "centers": {n: [float(v) for v in c]
                         for n, c in zip(["template.obj"] + names, centers)},
             "template": "template.obj",
+            "icp": icp,
             "input_hashes": input_hashes,
         })
         _write_run_json(out_dir, "preprocess", vars_of(args),

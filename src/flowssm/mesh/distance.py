@@ -25,17 +25,15 @@ def nearest_neighbor(query, reference) -> tuple[np.ndarray, np.ndarray]:
     """
     q = _as_points(query)
     ref = _as_points(reference)
-    tree = cKDTree(ref)
-    dist, idx = tree.query(q, k=1)
-    if len(ref) > 1:
-        # a tie exists iff the second neighbor is at the identical distance
-        dist2, _ = tree.query(q, k=2)
-        tied = np.nonzero(dist2[:, 1] == dist2[:, 0])[0]
-        for i in tied:
-            d_all = np.linalg.norm(ref - q[i], axis=1)
-            dmin = d_all.min()
-            idx[i] = int(np.nonzero(d_all == dmin)[0][0])
-            dist[i] = dmin
+    dists, idxs = cKDTree(ref).query(q, k=[1, 2][: len(ref)])
+    dist, idx = dists[:, 0].copy(), idxs[:, 0].copy()
+    # a tie exists iff the second neighbor is at the identical distance
+    tied = np.nonzero((dists[:, 1:] == dists[:, :1]).any(axis=1))[0]
+    for i in tied:
+        d_all = np.linalg.norm(ref - q[i], axis=1)
+        dmin = d_all.min()
+        idx[i] = int(np.nonzero(d_all == dmin)[0][0])
+        dist[i] = dmin
     return idx.astype(np.int64), dist
 
 

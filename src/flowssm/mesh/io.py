@@ -1,12 +1,15 @@
 """OBJ and PLY mesh readers/writers.
 
-OBJ is ASCII ``v``/``f`` records with 1-based indices. PLY supports the
-``ascii`` and ``binary_little_endian`` variants; vertices are written as
-float64 so a save/load round trip is exact.
+OBJ is UTF-8 ``v``/``f`` records with 1-based indices. PLY is read in the
+``ascii`` and both ``binary`` variants and written as ``ascii`` or
+``binary_little_endian``; vertices are written as float64 so a save/load
+round trip is exact. A file that does not parse raises ParseError.
 """
 
 from __future__ import annotations
 
+import struct
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -57,40 +60,31 @@ def save_mesh(mesh: TriMesh, path, fmt: str | None = None, binary: bool = True) 
 def _load_obj(path: Path) -> TriMesh:
     vertices: list[tuple[float, float, float]] = []
     faces: list[tuple[int, int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    lineno = 0
+    try:
+        for lineno, line in enumerate(path.read_bytes().decode("utf-8").splitlines(), 1):
             parts = line.split()
-            tag = parts[0]
-            if tag == "v":
+            if not parts or parts[0].startswith("#"):
+                continue
+            if parts[0] == "v":
                 if len(parts) < 4:
-                    raise ParseError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad vertex: {exc}") from exc
-            elif tag == "f":
-                idx = []
-                for token in parts[1:]:
-                    head = token.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad face index {token!r}") from exc
-                    if i == 0:
-                        raise ParseError(f"{path}:{lineno}: OBJ indices are 1-based")
-                    idx.append(i - 1 if i > 0 else len(vertices) + i)
+                    raise ParseError("vertex needs 3 coordinates")
+                vertices.append((float(parts[1]), float(parts[2]), float(parts[3])))
+            elif parts[0] == "f":
+                idx = [int(token.split("/")[0]) for token in parts[1:]]
+                if 0 in idx:
+                    raise ParseError("OBJ indices are 1-based")
                 if len(idx) < 3:
-                    raise ParseError(f"{path}:{lineno}: face needs at least 3 vertices")
+                    raise ParseError("face needs at least 3 vertices")
+                idx = [i - 1 if i > 0 else len(vertices) + i for i in idx]
                 # fan-triangulate polygons
-                for k in range(1, len(idx) - 1):
-                    faces.append((idx[0], idx[k], idx[k + 1]))
+                faces += [(idx[0], idx[k], idx[k + 1]) for k in range(1, len(idx) - 1)]
             # ignore vn/vt/usemtl and friends
+    except (ParseError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
+        raise ParseError(f"{path}:{lineno}: {exc}") from exc
     if not vertices:
         raise ParseError(f"{path}: no vertices found")
-    return TriMesh(np.array(vertices, dtype=np.float64), np.array(faces, dtype=np.int64).reshape(-1, 3))
+    return TriMesh(np.array(vertices, dtype=np.float64), np.array(faces).reshape(-1, 3))
 
 
 def _save_obj(mesh: TriMesh, path: Path) -> None:
@@ -103,37 +97,21 @@ def _save_obj(mesh: TriMesh, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_PLY_DTYPES = {
-    "float": ("<f4", 4),
-    "float32": ("<f4", 4),
-    "double": ("<f8", 8),
-    "float64": ("<f8", 8),
-    "uchar": ("<u1", 1),
-    "uint8": ("<u1", 1),
-    "int": ("<i4", 4),
-    "int32": ("<i4", 4),
-    "uint": ("<u4", 4),
-    "uint32": ("<u4", 4),
-}
+_PLY_TYPES = dict(zip("char uchar short ushort int uint float double int8 uint8 int16 uint16 "
+                      "int32 uint32 float32 float64".split(), "bBhHiIfd" * 2))  # -> struct code
+_PLY_ENDIAN = {"ascii": "", "binary_little_endian": "<", "binary_big_endian": ">"}
 
 
 def _save_ply(mesh: TriMesh, path: Path, binary: bool = True) -> None:
-    n_v, n_f = mesh.n_vertices, mesh.n_faces
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = (
-        "ply\n"
-        f"format {fmt} 1.0\n"
-        f"element vertex {n_v}\n"
-        "property double x\nproperty double y\nproperty double z\n"
-        f"element face {n_f}\n"
-        "property list uchar int vertex_indices\n"
-        "end_header\n"
-    )
+    header = (f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+              f"element vertex {mesh.n_vertices}\n"
+              "property double x\nproperty double y\nproperty double z\n"
+              f"element face {mesh.n_faces}\nproperty list uchar int vertex_indices\nend_header\n")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
             fh.write(mesh.vertices.astype("<f8").tobytes())
-            face_rec = np.empty(n_f, dtype=[("n", "<u1"), ("idx", "<i4", (3,))])
+            face_rec = np.empty(mesh.n_faces, dtype=[("n", "<u1"), ("idx", "<i4", (3,))])
             face_rec["n"] = 3
             face_rec["idx"] = mesh.faces.astype("<i4")
             fh.write(face_rec.tobytes())
@@ -144,88 +122,75 @@ def _save_ply(mesh: TriMesh, path: Path, binary: bool = True) -> None:
 
 
 def _load_ply(path: Path) -> TriMesh:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"ply"):
-        raise ParseError(f"{path}: missing ply magic")
-    header_end = data.find(b"end_header")
-    if header_end < 0:
-        raise ParseError(f"{path}: missing end_header")
-    header = data[:header_end].decode("ascii", errors="replace").splitlines()
-    body = data[data.index(b"\n", header_end) + 1 :]
+    try:
+        vertices, faces = _parse_ply(path.read_bytes())
+    except (ParseError, ValueError, IndexError, KeyError, OverflowError, struct.error) as exc:
+        raise ParseError(f"{path}: malformed ply: {exc}") from exc
+    return TriMesh(vertices, faces)
 
-    fmt = None
-    elements: list[tuple[str, int, list]] = []  # (name, count, [props])
-    for line in header[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "format":
-            fmt = parts[1]
-        elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
-        elif parts[0] == "property":
-            if not elements:
-                raise ParseError(f"{path}: property before element")
-            elements[-1][2].append(parts[1:])
-    if fmt not in ("ascii", "binary_little_endian"):
-        raise ParseError(f"{path}: unsupported ply format {fmt!r}")
 
-    vertices = None
-    faces: list[tuple[int, int, int]] = []
-    if fmt == "ascii":
-        tokens = body.decode("ascii").split("\n")
-        tokens = [t for t in tokens if t.strip()]
-        cursor = 0
-        for name, count, props in elements:
-            if name == "vertex":
-                coords = []
-                for i in range(count):
-                    vals = tokens[cursor + i].split()
-                    coords.append([float(v) for v in vals[:3]])
-                vertices = np.array(coords, dtype=np.float64)
-            elif name == "face":
-                for i in range(count):
-                    vals = [int(v) for v in tokens[cursor + i].split()]
-                    n = vals[0]
-                    idx = vals[1 : 1 + n]
-                    for k in range(1, n - 1):
-                        faces.append((idx[0], idx[k], idx[k + 1]))
-            cursor += count
-    else:
-        offset = 0
-        for name, count, props in elements:
-            if name == "vertex":
-                dtypes = []
-                for p in props:
-                    if p[0] == "list":
-                        raise ParseError(f"{path}: list property on vertex unsupported")
-                    if p[0] not in _PLY_DTYPES:
-                        raise ParseError(f"{path}: unsupported property type {p[0]!r}")
-                    dtypes.append((p[1], _PLY_DTYPES[p[0]][0]))
-                rec = np.frombuffer(body, dtype=np.dtype(dtypes), count=count, offset=offset)
-                offset += rec.dtype.itemsize * count
-                try:
-                    vertices = np.stack(
-                        [rec["x"], rec["y"], rec["z"]], axis=1
-                    ).astype(np.float64)
-                except KeyError as exc:
-                    raise ParseError(f"{path}: vertex element missing x/y/z") from exc
-            elif name == "face":
-                if len(props) != 1 or props[0][0] != "list":
-                    raise ParseError(f"{path}: face element must be a single list property")
-                cnt_t, idx_t = props[0][1], props[0][2]
-                cnt_dt, cnt_sz = _PLY_DTYPES[cnt_t]
-                idx_dt, idx_sz = _PLY_DTYPES[idx_t]
-                for _ in range(count):
-                    (n,) = np.frombuffer(body, dtype=cnt_dt, count=1, offset=offset)
-                    offset += cnt_sz
-                    idx = np.frombuffer(body, dtype=idx_dt, count=int(n), offset=offset)
-                    offset += idx_sz * int(n)
-                    for k in range(1, int(n) - 1):
-                        faces.append((int(idx[0]), int(idx[k]), int(idx[k + 1])))
-            else:
-                raise ParseError(f"{path}: unsupported element {name!r}")
+def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices (properties x, y, z) and fan-triangulated faces of a PLY file.
+
+    Both encodings share one element loop and differ only in how ``read``
+    takes scalars. Elements other than vertex and face are read and skipped.
+    """
+    header, _, body = data.partition(b"end_header")
+    lines = header.decode("ascii", errors="replace").split("\n")
+    if lines[0].strip() != "ply" or not body.startswith((b"\n", b"\r\n")):
+        raise ParseError("no ply magic or end_header line")
+    fmt, elements = None, []  # (name, count, [(property, count code or None, struct code)])
+    for keyword, *args in (line.split() or ["comment"] for line in lines[1:]):
+        if keyword == "format":
+            fmt, _ = args
+        elif keyword == "element":
+            name, count = args
+            elements.append((name, int(count), []))
+        elif keyword == "property":
+            *types, name = args
+            count_type, value_type = types[1:] if types[0] == "list" else (None, *types)
+            elements[-1][2].append(
+                (name, count_type and _PLY_TYPES[count_type], _PLY_TYPES[value_type]))
+        elif keyword not in ("comment", "obj_info"):
+            raise ParseError(f"unknown header keyword {keyword!r}")
+    if fmt not in _PLY_ENDIAN:
+        raise ParseError(f"unsupported ply format {fmt!r}")
+    body, pos, layouts = body.split(b"\n", 1)[1], 0, {}
+    if fmt == "ascii":  # integer tokens stay int, so a list length such as "3.0" is rejected
+        body = [int(t) if t.isdigit() else float(t) for t in body.decode("ascii").split()]
+
+    def read(codes, n=1):  # n records of scalars of struct types codes, flattened
+        nonlocal pos
+        # every scalar takes at least one byte or token, which also bounds codes * n
+        if not (isinstance(n, int) and 0 <= len(codes) * n <= len(body) - pos):
+            raise ParseError("data ends early or a list length is not an integer")
+        if fmt == "ascii":
+            pos += len(codes) * n
+            return body[pos - len(codes) * n:pos]
+        layout = layouts.get(codes * n) or layouts.setdefault(
+            codes * n, struct.Struct(_PLY_ENDIAN[fmt] + codes * n))
+        pos += layout.size
+        return layout.unpack_from(body, pos - layout.size)
+
+    vertices, faces = None, []
+    for name, count, props in elements:
+        names, lists = [p[0] for p in props], [p[1] is not None for p in props]
+        if any(lists):
+            rows = [[read(code)[0] if cnt is None else read(code, read(cnt)[0])
+                     for _, cnt, code in props] for _ in range(count)]
+        else:  # fixed-size records: the whole element is one read
+            rows = list(zip(*[iter(read("".join(p[2] for p in props), count))] * len(props)))
+        if name == "vertex":
+            vertices = list(map(itemgetter(*map(names.index, "xyz")), rows))
+        elif name == "face":
+            if not any(lists):
+                raise ParseError("face element has no list property")
+            polys = list(map(itemgetter(lists.index(True)), rows))
+            if min(map(len, polys), default=3) < 3:
+                raise ParseError("face needs at least 3 vertices")
+            faces = [(p[0], p[j], p[j + 1]) for p in polys for j in range(1, len(p) - 1)]
     if vertices is None:
-        raise ParseError(f"{path}: no vertex element")
-    return TriMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+        raise ParseError("no vertex element")
+    if pos != len(body):
+        raise ParseError("data after the last element")
+    return np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces).reshape(-1, 3)

@@ -594,14 +594,13 @@ def save_model(model: FlowSsmModel, path) -> None:
 
 
 def load_model(path) -> FlowSsmModel:
-    """Read a :func:`save_model` file; a missing tensor or entry raises ParseError."""
+    """Read a :func:`save_model` file; a missing or malformed entry raises ParseError."""
     tensors, manifest = load_container(path)
     if manifest.get("kind") != "flowssm-model":
         raise DataError(f"{path} is not a model checkpoint")
     try:
         cfg = TrainingConfig.from_dict(manifest["config"])
-        template = TriMesh(tensors["template/vertices"],
-                           tensors["template/faces"].astype(np.int64))
+        template = TriMesh(tensors["template/vertices"], tensors["template/faces"])
         mlp_g = ImNetMlp.from_spec(manifest["mlp"])
         mlp_g.load_state_arrays(
             {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("mlp_global/")})
@@ -634,3 +633,5 @@ def load_model(path) -> FlowSsmModel:
         )
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint has no entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint entry: {exc}") from exc

@@ -49,30 +49,6 @@ class FamilySpec:
         if self.bump_amplitude[1] > 0.25 or self.lobe_amplitude[1] > 0.25:
             raise DataError("amplitudes above 0.25 can break the embedding bound")
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family, "n_vertices": self.n_vertices,
-            "jitter": self.jitter, "axis_range": list(self.axis_range),
-            "n_bumps": self.n_bumps,
-            "bump_amplitude": list(self.bump_amplitude),
-            "bump_width": list(self.bump_width),
-            "n_lobes": self.n_lobes,
-            "lobe_freq_range": (list(self.lobe_freq_range)
-                                if self.lobe_freq_range is not None else None),
-            "lobe_amplitude": list(self.lobe_amplitude),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FamilySpec":
-        d = dict(d)
-        for key in ("axis_range", "bump_amplitude", "bump_width", "lobe_amplitude"):
-            if key in d:
-                d[key] = tuple(d[key])
-        if d.get("lobe_freq_range") is not None:
-            d["lobe_freq_range"] = tuple(d["lobe_freq_range"])
-        return cls(**d)
-
 
 def icosphere(subdivisions: int = 3) -> TriMesh:
     """Regular unit icosphere (642 vertices at 3 subdivisions)."""

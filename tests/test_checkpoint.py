@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flowssm.checkpoint import MAGIC, load_container, save_container
-from flowssm.errors import IoError, ParseError
+from flowssm.errors import IoError, ParseError, TopologyError
 from flowssm.model import load_model, save_model
 
 
@@ -76,6 +76,36 @@ def test_model_missing_tensor_raises_parse_error(tiny_model, tmp_path):
         save_container(path, kept, manifest)
         with pytest.raises(ParseError, match=name.split("/")[-1]):
             load_model(path)
+
+
+MALFORMED_ENTRIES = {
+    "n_train_not_a_number": lambda t, m: m.update(n_train="abc"),
+    "z_local_one_column_short": lambda t, m: t.update(z_local_train=t["z_local_train"][:, :-1]),
+    "config_is_a_list": lambda t, m: m.update(config=[1, 2]),
+    "mlp_is_a_string": lambda t, m: m.update(mlp="x"),
+    "latent_dim_not_a_number": lambda t, m: m.update(latent_dim="q"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_ENTRIES))
+def test_model_malformed_entry_raises_parse_error(tiny_model, tmp_path, damage):
+    path = tmp_path / "model.fssm"
+    save_model(tiny_model["model"], path)
+    tensors, manifest = load_container(path)
+    MALFORMED_ENTRIES[damage](tensors, manifest)
+    save_container(path, tensors, manifest)
+    with pytest.raises(ParseError, match="malformed checkpoint entry"):
+        load_model(path)
+
+
+def test_model_non_integer_template_faces_raise(tiny_model, tmp_path):
+    path = tmp_path / "model.fssm"
+    save_model(tiny_model["model"], path)
+    tensors, manifest = load_container(path)
+    tensors["template/faces"] = tensors["template/faces"] + 0.5
+    save_container(path, tensors, manifest)
+    with pytest.raises(TopologyError, match="integer"):
+        load_model(path)
 
 
 def test_magic_is_versioned():

@@ -144,6 +144,33 @@ def test_preprocess_idempotent(tmp_path, synth_dir, capsys):
     assert (pre / "preprocess_manifest.json").read_bytes() == first
 
 
+def test_preprocess_non_utf8_mesh_exit_3(tmp_path, synth_dir, capsys):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    (raw / "template.obj").write_bytes((synth_dir / "template.obj").read_bytes())
+    (raw / "member_000.obj").write_bytes(b"v 0 0 0\nv 1 0 0\nv 0 1 \xff\nf 1 2 3\n")
+    assert run("preprocess", "--in-dir", raw, "--template", raw / "template.obj",
+               "--out-dir", tmp_path / "pre") == 3
+    err = capsys.readouterr().err
+    assert "member_000.obj" in err and "Traceback" not in err
+
+
+def test_preprocess_manifest_records_icp_convergence(tmp_path, synth_dir):
+    raw = tmp_path / "raw"
+    raw.mkdir()
+    template = load_mesh(synth_dir / "template.obj")
+    save_mesh(template, raw / "template.obj")
+    save_mesh(template, raw / "same.obj")
+    save_mesh(load_mesh(synth_dir / "member_000.obj"), raw / "member.obj")
+    pre = tmp_path / "pre"
+    with pytest.warns(Warning, match="ICP stopped after 3 iterations"):
+        assert run("preprocess", "--in-dir", raw, "--template", raw / "template.obj",
+                   "--out-dir", pre, "--max-iters", 3) == 0
+    icp = json.loads((pre / "preprocess_manifest.json").read_text())["icp"]
+    assert icp == {"same.obj": {"converged": True, "n_iterations": 2},
+                   "member.obj": {"converged": False, "n_iterations": 3}}
+
+
 def test_preprocess_missing_template_exit_2(tmp_path, synth_dir):
     code = run("preprocess", "--in-dir", synth_dir, "--template",
                tmp_path / "missing.obj", "--out-dir", tmp_path / "x")
@@ -283,6 +310,21 @@ class TestWithTrainedCheckpoint:
             del tensors["pca_global/mean"]
             save_container(ckpt, tensors, manifest)
         fit_dir = trained["tmp"] / f"fit_{damage}"
+        assert run("fit", "--checkpoint", ckpt,
+                   "--target", trained["pre"] / "member_000.obj",
+                   "--iters", 5, "--out-dir", fit_dir) == 3
+        err = capsys.readouterr().err
+        assert ckpt.name in err and "Traceback" not in err
+        assert not (fit_dir / "fitted.obj").exists()
+
+    def test_fit_malformed_checkpoint_entry_exit_3(self, trained, capsys):
+        from flowssm.checkpoint import load_container, save_container
+
+        tensors, manifest = load_container(trained["ckpt"])
+        manifest["latent_dim"] = "q"
+        ckpt = trained["tmp"] / "malformed_entry.fssm"
+        save_container(ckpt, tensors, manifest)
+        fit_dir = trained["tmp"] / "fit_malformed_entry"
         assert run("fit", "--checkpoint", ckpt,
                    "--target", trained["pre"] / "member_000.obj",
                    "--iters", 5, "--out-dir", fit_dir) == 3
