@@ -13,30 +13,109 @@ per-point norm columns all ride on this one rule).
 :class:`Adam` runs at fixed betas (0.9, 0.999) and eps 1e-8, the defaults
 of Kingma & Ba; only the step size is set. Its ``step()`` consumes the parameters'
 gradients and clears them for the next backward pass.
+
+Tapes and workspaces are per thread: several threads may record and
+backpropagate at once, each on its own tapes.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
 from .errors import DataError, NonFiniteGradient, NonFiniteValue, ShapeMismatch
 
-_ACTIVE_TAPES: list["Tape"] = []
+_ALIGN = 8  # floats in 64 bytes: every workspace block starts on such a boundary
+
+
+class Workspace:
+    """One thread's grow-only float64 arena for nodes that own their buffers.
+
+    :meth:`take` hands a node blocks that stay its own until the tape it is
+    recorded on closes; :meth:`lend` hands out blocks above every taken one,
+    for one computation. The arena grows to the largest demand and is kept,
+    so the next pass finds its memory already faulted in. Blocks taken
+    before a growth stay valid: they keep the old buffer alive.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0)
+        self.top = 0  # floats taken
+
+    def _blocks(self, start: int, shapes, spare: int = 0) -> tuple[list[np.ndarray], int]:
+        sizes = [math.prod(shape) for shape in shapes]
+        end = start + sum(-(-size // _ALIGN) * _ALIGN for size in sizes)
+        if end + spare + _ALIGN > self._buf.size:
+            self._buf = np.empty(end + spare + _ALIGN)
+        pos = start + (-self._buf.ctypes.data // 8) % _ALIGN
+        blocks = []
+        for shape, size in zip(shapes, sizes):
+            blocks.append(self._buf[pos:pos + size].reshape(shape))
+            pos += -(-size // _ALIGN) * _ALIGN
+        return blocks, end
+
+    def take(self, shapes, spare: int = 0) -> list[np.ndarray]:
+        """C-contiguous blocks of ``shapes``, held until the innermost open
+        tape closes; room for ``spare`` more floats is made at once."""
+        blocks, self.top = self._blocks(self.top, shapes, spare)
+        return blocks
+
+    def lend(self, shapes) -> list[np.ndarray]:
+        """C-contiguous blocks of ``shapes`` above every taken block, valid
+        until the next :meth:`take` or :meth:`lend`."""
+        return self._blocks(self.top, shapes)[0]
+
+
+class _ThreadTapes(threading.local):
+    """The calling thread's open tapes and its workspace.
+
+    Reads as a list of tapes: true while one is open, ``[-1]`` the innermost.
+    """
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+        self.workspace = Workspace()
+
+    def __bool__(self) -> bool:
+        return bool(self.tapes)
+
+    def __getitem__(self, index) -> "Tape":
+        return self.tapes[index]
+
+
+_ACTIVE_TAPES = _ThreadTapes()
+
+
+def workspace() -> Workspace:
+    """The calling thread's workspace."""
+    return _ACTIVE_TAPES.workspace
 
 
 class Tape:
-    """Ordered record of primitive operations for one backward pass."""
+    """Ordered record of primitive operations for one backward pass.
+
+    Closing it hands the workspace blocks its nodes took back to the thread's
+    workspace; a node that owns such blocks cannot be backpropagated after that.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.open = False
+        self._mark = 0
 
     def __enter__(self) -> "Tape":
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE_TAPES.tapes.append(self)
+        self._mark = _ACTIVE_TAPES.workspace.top
+        self.open = True
         return self
 
     def __exit__(self, *exc):
-        popped = _ACTIVE_TAPES.pop()
+        popped = _ACTIVE_TAPES.tapes.pop()
         assert popped is self
+        _ACTIVE_TAPES.workspace.top = self._mark
+        self.open = False
         return False
 
 
@@ -103,7 +182,12 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _record(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+def record(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Wrap ``out_data`` as the output of ``op`` on ``inputs``; while a tape is
+    open and an input requires a gradient, append the node to the innermost one.
+
+    ``backward_fn(g)`` returns one gradient (or None) per input.
+    """
     _finite(out_data, op)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
@@ -184,7 +268,7 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return _record("add", out, (a, b), bwd)
+    return record("add", out, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -196,7 +280,7 @@ def sub(a, b) -> Tensor:
         return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
                 _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
-    return _record("sub", out, (a, b), bwd)
+    return record("sub", out, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -211,7 +295,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a_data, b_data.shape) if b.requires_grad else None,
         )
 
-    return _record("mul", out, (a, b), bwd)
+    return record("mul", out, (a, b), bwd)
 
 
 def scale(x, s: float) -> Tensor:
@@ -230,7 +314,7 @@ def matmul(a, b) -> Tensor:
         return (g @ b_data.T if a.requires_grad else None,
                 a_data.T @ g if b.requires_grad else None)
 
-    return _record("matmul", out, (a, b), bwd)
+    return record("matmul", out, (a, b), bwd)
 
 
 def skip_mlp(x, weights, biases, alpha: float) -> Tensor:
@@ -287,7 +371,7 @@ def skip_mlp(x, weights, biases, alpha: float) -> Tensor:
             g = g_in[:, :g_in.shape[1] - n_in * skip[i]]
         return (grad_x, *grad_w, *grad_b)
 
-    return _record("skip_mlp", out, (x, *ws, *bs), bwd)
+    return record("skip_mlp", out, (x, *ws, *bs), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -299,7 +383,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _record("concat", out, tuple(ts), bwd)
+    return record("concat", out, tuple(ts), bwd)
 
 
 def leaky_relu(x, alpha: float = 0.02) -> Tensor:
@@ -312,7 +396,7 @@ def leaky_relu(x, alpha: float = 0.02) -> Tensor:
     def bwd(g):
         return (g * slope,)
 
-    return _record("leaky_relu", out, (x,), bwd)
+    return record("leaky_relu", out, (x,), bwd)
 
 
 def exp(x) -> Tensor:
@@ -322,7 +406,7 @@ def exp(x) -> Tensor:
     def bwd(g):
         return (g * out,)
 
-    return _record("exp", out, (x,), bwd)
+    return record("exp", out, (x,), bwd)
 
 
 def reshape(x, shape) -> Tensor:
@@ -333,7 +417,7 @@ def reshape(x, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(orig),)
 
-    return _record("reshape", out, (x,), bwd)
+    return record("reshape", out, (x,), bwd)
 
 
 def gather(x, index) -> Tensor:
@@ -348,7 +432,7 @@ def gather(x, index) -> Tensor:
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return _record("gather", out, (x,), bwd)
+    return record("gather", out, (x,), bwd)
 
 
 def tmean(x, axis=None) -> Tensor:
@@ -362,7 +446,7 @@ def tmean(x, axis=None) -> Tensor:
             return (np.broadcast_to(g / n, in_shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis) / n, in_shape).copy(),)
 
-    return _record("mean", out, (x,), bwd)
+    return record("mean", out, (x,), bwd)
 
 
 def row_norm(x) -> Tensor:
@@ -377,7 +461,7 @@ def row_norm(x) -> Tensor:
         gx[norms == 0.0] = 0.0
         return (gx,)
 
-    return _record("row_norm", norms, (x,), bwd)
+    return record("row_norm", norms, (x,), bwd)
 
 
 def pairwise_sqdist(x, c) -> Tensor:
@@ -400,7 +484,7 @@ def pairwise_sqdist(x, c) -> Tensor:
             gc = 2.0 * (c_data * gc_s[:, None] - g.T @ x_data)
         return gx, gc
 
-    return _record("pairwise_sqdist", out, (x, c), bwd)
+    return record("pairwise_sqdist", out, (x, c), bwd)
 
 
 class Adam:

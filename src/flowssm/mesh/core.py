@@ -26,8 +26,7 @@ class TriMesh:
         self.vertices = check_points(self.vertices, "vertices")
         if self.validate:
             self.faces = check_faces(self.faces, len(self.vertices))
-            if self.area() <= 0.0:
-                raise TopologyError("mesh has zero total surface area")
+            self._check_area()
         else:
             self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
 
@@ -66,9 +65,18 @@ class TriMesh:
     def check(self) -> "TriMesh":
         """Re-validate all invariants, raising TopologyError on violation."""
         check_faces(self.faces, self.n_vertices)
-        if self.area() <= 0.0:
-            raise TopologyError("mesh has zero total surface area")
+        self._check_area()
         return self
+
+    def _check_area(self):
+        """Raise unless the total area is positive, i.e. some face's is; faces
+        are checked a block at a time, so a large mesh needs no (m, 3, 3) copy."""
+        for lo in range(0, self.n_faces, 4096):
+            tri = self.vertices[self.faces[lo:lo + 4096]]
+            cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+            if (np.linalg.norm(cross, axis=1) > 0.0).any():
+                return
+        raise TopologyError("mesh has zero total surface area")
 
 
 def _centroid_balls(tri: np.ndarray) -> tuple[np.ndarray, float]:

@@ -135,9 +135,9 @@ def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     Both encodings share one element loop and differ only in how ``read``
     takes scalars. Elements other than vertex and face are read and skipped.
     """
-    header, _, body = data.partition(b"end_header")
-    lines = header.decode("ascii", errors="replace").split("\n")
-    if lines[0].strip() != "ply" or not body.startswith((b"\n", b"\r\n")):
+    end = data.find(b"end_header")
+    lines = data[:end].decode("ascii", errors="replace").split("\n")
+    if end < 0 or lines[0].strip() != "ply" or not data.startswith((b"\n", b"\r\n"), end + 10):
         raise ParseError("no ply magic or end_header line")
     fmt, elements = None, []  # (name, count, [(property, count code or None, struct code)])
     for keyword, *args in (line.split() or ["comment"] for line in lines[1:]):
@@ -155,9 +155,11 @@ def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
             raise ParseError(f"unknown header keyword {keyword!r}")
     if fmt not in _PLY_ENDIAN:
         raise ParseError(f"unsupported ply format {fmt!r}")
-    body, pos, layouts = body.split(b"\n", 1)[1], 0, {}
+    # the body is read in place, from the offset after the end_header line
+    body, pos, layouts = data, data.index(b"\n", end) + 1, {}
     if fmt == "ascii":  # integer tokens stay int, so a list length such as "3.0" is rejected
-        body = [int(t) if t.isdigit() else float(t) for t in body.decode("ascii").split()]
+        body = [int(t) if t.isdigit() else float(t) for t in data[pos:].decode("ascii").split()]
+        pos = 0
 
     def read(codes, n=1):  # n records of scalars of struct types codes, flattened
         nonlocal pos
@@ -172,20 +174,59 @@ def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         pos += layout.size
         return layout.unpack_from(body, pos - layout.size)
 
+    def records(props, count):
+        """Binary records as one structured array: fields f<i>, and n<i> for
+        the length of list i. Lists must all have the first record's lengths;
+        None (and nothing read) when they do not."""
+        nonlocal pos
+        start, fields, lengths = pos, [], {}
+        for i, (_, cnt, code) in enumerate(props):  # walk the first record
+            if cnt is None:
+                fields.append((f"f{i}", _PLY_ENDIAN[fmt] + code))
+                read(code, int(count > 0))
+            else:
+                lengths[i] = read(cnt)[0] if count else 0
+                read(code, lengths[i])
+                fields += [(f"n{i}", _PLY_ENDIAN[fmt] + cnt),
+                           (f"f{i}", _PLY_ENDIAN[fmt] + code, (lengths[i],))]
+        dtype, pos = np.dtype(fields), start
+        if dtype.itemsize * count > len(body) - pos:
+            raise ParseError("data ends early")
+        rows = np.frombuffer(body, dtype, count, pos)
+        if not all((rows[f"n{i}"] == n).all() for i, n in lengths.items()):
+            return None
+        pos += dtype.itemsize * count
+        return rows
+
     vertices, faces = None, []
     for name, count, props in elements:
         names, lists = [p[0] for p in props], [p[1] is not None for p in props]
-        if any(lists):
+        rows = records(props, count) if fmt != "ascii" and props else None
+        if rows is not None:
+            pass
+        elif any(lists):
             rows = [[read(code)[0] if cnt is None else read(code, read(cnt)[0])
                      for _, cnt, code in props] for _ in range(count)]
         else:  # fixed-size records: the whole element is one read
             rows = list(zip(*[iter(read("".join(p[2] for p in props), count))] * len(props)))
         if name == "vertex":
-            vertices = list(map(itemgetter(*map(names.index, "xyz")), rows))
+            xyz = [names.index(c) for c in "xyz"]
+            if any(lists[i] for i in xyz):
+                raise ParseError("a vertex coordinate is a list")
+            vertices = (np.stack([rows[f"f{i}"] for i in xyz], axis=1)
+                        if isinstance(rows, np.ndarray) else list(map(itemgetter(*xyz), rows)))
         elif name == "face":
             if not any(lists):
                 raise ParseError("face element has no list property")
-            polys = list(map(itemgetter(lists.index(True)), rows))
+            k = lists.index(True)
+            if isinstance(rows, np.ndarray):
+                polys = rows[f"f{k}"]
+                if count and polys.shape[1] < 3:
+                    raise ParseError("face needs at least 3 vertices")
+                fan = [[0, j, j + 1] for j in range(1, polys.shape[1] - 1)]
+                faces = polys[:, fan].reshape(-1, 3) if count else []
+                continue
+            polys = list(map(itemgetter(k), rows))
             if min(map(len, polys), default=3) < 3:
                 raise ParseError("face needs at least 3 vertices")
             faces = [(p[0], p[j], p[j + 1]) for p in polys for j in range(1, len(p) - 1)]
@@ -193,4 +234,4 @@ def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise ParseError("no vertex element")
     if pos != len(body):
         raise ParseError("data after the last element")
-    return np.array(vertices, dtype=np.float64).reshape(-1, 3), np.array(faces).reshape(-1, 3)
+    return np.asarray(vertices, dtype=np.float64).reshape(-1, 3), np.asarray(faces).reshape(-1, 3)

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor
 from .checkpoint import load_container, save_container
 from .errors import (DataError, DegenerateDataWarning, NonFiniteLoss, NonFiniteValue,
-                     ParseError)
+                     ParseError, ShapeMismatch)
 from .flow import FlowConfig, ImNetMlp, integrate_flow
 from .latents import (ControlPointSet, LatentState, compose_deformers,
                       place_control_points, rbf_weights)
@@ -606,7 +606,16 @@ def load_model(path) -> FlowSsmModel:
             {k.split("/", 1)[1]: v for k, v in tensors.items() if k.startswith("mlp_global/")})
         pca_g = PcaBasis(tensors["pca_global/mean"], tensors["pca_global/components"],
                          tensors["pca_global/stddevs"])
-        has_local = bool(manifest["has_local"])
+        latent_dim = int(manifest["latent_dim"])
+        z_global = check_matrix(tensors["z_global_train"], "z_global_train")
+        if z_global.shape[1] != latent_dim:
+            raise DataError(f"z_global_train has {z_global.shape[1]} columns, not {latent_dim}")
+        has_local, norm_scale = manifest["has_local"], manifest.get("norm_scale")
+        if not isinstance(has_local, bool):
+            raise DataError(f"has_local must be true or false, got {has_local!r}")
+        if norm_scale is not None and (isinstance(norm_scale, bool) or not isinstance(
+                norm_scale, (int, float)) or not np.isfinite(norm_scale)):
+            raise DataError(f"norm_scale must be a finite number or null, got {norm_scale!r}")
         mlp_l = cps = pca_l = z_local = None
         if has_local:
             mlp_l = ImNetMlp.from_spec(manifest["mlp"])
@@ -616,22 +625,22 @@ def load_model(path) -> FlowSsmModel:
             pca_l = PcaBasis(tensors["pca_local/mean"], tensors["pca_local/components"],
                              tensors["pca_local/stddevs"])
             n_train = int(manifest["n_train"])
-            z_local = tensors["z_local_train"].reshape(n_train, cps.m, manifest["latent_dim"])
+            z_local = tensors["z_local_train"].reshape(n_train, cps.m, latent_dim)
         return FlowSsmModel(
             template=template,
             mlp_global=mlp_g,
             mlp_local=mlp_l,
             cps=cps,
-            latent_dim=int(manifest["latent_dim"]),
-            z_global_train=tensors["z_global_train"],
+            latent_dim=latent_dim,
+            z_global_train=z_global,
             z_local_train=z_local,
             pca_global=pca_g,
             pca_local=pca_l,
             config=cfg,
-            norm_scale=manifest.get("norm_scale"),
+            norm_scale=norm_scale,
             train_log=manifest.get("train_log", {}),
         )
     except KeyError as exc:
         raise ParseError(f"{path}: checkpoint has no entry {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DataError, ShapeMismatch) as exc:
         raise ParseError(f"{path}: malformed checkpoint entry: {exc}") from exc

@@ -84,6 +84,13 @@ MALFORMED_ENTRIES = {
     "config_is_a_list": lambda t, m: m.update(config=[1, 2]),
     "mlp_is_a_string": lambda t, m: m.update(mlp="x"),
     "latent_dim_not_a_number": lambda t, m: m.update(latent_dim="q"),
+    "has_local_a_string": lambda t, m: m.update(has_local="no"),
+    "norm_scale_a_string": lambda t, m: m.update(norm_scale="x"),
+    "z_global_flattened": lambda t, m: t.update(z_global_train=t["z_global_train"].ravel()),
+    "template_two_columns": lambda t, m: t.update(
+        {"template/vertices": t["template/vertices"][:, :2]}),
+    "mlp_weights_one_row_short": lambda t, m: t.update(
+        {"mlp_global/w0": t["mlp_global/w0"][:-1]}),
 }
 
 

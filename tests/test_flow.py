@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -208,3 +210,98 @@ def test_euler_gradient_gap_shrinks_with_steps():
 def test_mlp_rejects_slope_outside_unit_interval():
     with pytest.raises(DataError):
         ImNetMlp(7, alpha=-0.1)
+
+
+def _taped_flow(mlp, x0, z, cfg, direction):
+    """integrate_flow as separate tape operations: a one-row latent broadcast
+    to every row once, then velocity() through integrate_velocity."""
+    if z.data.ndim == 1:
+        rows = np.zeros(x0.data.shape[0], dtype=np.int64)
+        z = ad.gather(ad.reshape(z, (1, z.data.shape[0])), rows)
+    return integrate_velocity(lambda x, t: velocity(mlp, x, t, z), x0, cfg, direction)
+
+
+FLOW_CASES = list(itertools.product(
+    ["rk4", "euler"], ["forward", "reverse"], ["one row", "per row"], ["trainable", "frozen"]))
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_fused_flow_is_bit_identical_to_the_taped_operations(case):
+    """Random widths, depths, sizes and step counts for every combination."""
+    integrator, direction, latent_rows, weights = case
+    rng = np.random.default_rng(FLOW_CASES.index(case))
+    d, n = int(rng.integers(1, 6)), int(rng.integers(1, 60))
+    hidden = tuple(int(w) for w in rng.integers(2, 24, size=rng.integers(1, 5)))
+    mlp = ImNetMlp(3 + d, hidden, seed=int(rng.integers(100)), final_init_scale=0.5)
+    if weights == "frozen":
+        mlp = mlp.frozen()
+    cfg = FlowConfig(int(rng.integers(1, 6)), integrator)
+    x0_data = rng.normal(0, 0.5, size=(n, 3))
+    z_data = rng.normal(0, 0.4, size=(d,) if latent_rows == "one row" else (n, d))
+    if latent_rows == "per row" and n > 1:
+        z_data[0] = 0.0  # a zero latent row: norm 0, subgradient 0
+    target = rng.normal(0, 0.5, size=(n, 3))
+    results = []
+    for flow in (integrate_flow, _taped_flow):
+        x0 = Tensor(x0_data, requires_grad=True)
+        z = Tensor(z_data, requires_grad=True)
+        with ad.Tape() as tape:
+            out = flow(mlp, x0, z, cfg, direction)
+            ad.backward(ad.tmean(ad.row_norm(out - target)), tape)
+        results.append([out.data, x0.grad, z.grad,
+                        *[p.grad.copy() for p in mlp.params.values()]])
+        for p in mlp.params.values():
+            p.zero_grad()
+    for fused, taped in zip(*results):
+        np.testing.assert_array_equal(fused, taped)
+
+
+def test_fused_flow_without_point_or_latent_gradient():
+    """Only the weights train: the first stage's input needs no gradient."""
+    mlp = small_mlp(d=3, seed=7)
+    x0, z = rand_points(9, 3), np.random.default_rng(4).normal(0, 0.3, size=(9, 3))
+    grads = []
+    for flow in (integrate_flow, _taped_flow):
+        with ad.Tape() as tape:
+            out = flow(mlp, Tensor(x0), Tensor(z), FlowConfig(3), "forward")
+            ad.backward(ad.tmean(ad.row_norm(out)), tape)
+        grads.append([p.grad.copy() for p in mlp.params.values()])
+        for p in mlp.params.values():
+            p.zero_grad()
+    for fused, taped in zip(*grads):
+        np.testing.assert_array_equal(fused, taped)
+
+
+def test_fused_flow_is_one_tape_node_and_hands_its_workspace_back():
+    mlp = small_mlp(d=2, seed=8).frozen()
+    z = Tensor(np.array([0.3, -0.2]), requires_grad=True)
+    ws = ad.workspace()
+    mark = ws.top
+    with ad.Tape() as tape:
+        first = integrate_flow(mlp, rand_points(40, 1), z)
+        held = ws.top - mark
+        second = integrate_flow(mlp, rand_points(40, 2), z)
+        assert held > 0 and ws.top - mark == 2 * held  # consecutive blocks
+        assert len(tape.nodes) == 2
+        ad.backward(ad.tmean(ad.row_norm(first + second)), tape)
+    assert ws.top == mark
+    with pytest.raises(RuntimeError, match="tape closed"):
+        ad.backward(ad.tmean(ad.row_norm(first)), tape)
+
+
+def test_flow_without_gradients_takes_no_workspace():
+    mlp = small_mlp(d=2, seed=8)
+    ws = ad.workspace()
+    mark = ws.top
+    with ad.Tape() as tape:
+        out = integrate_flow(mlp.frozen(), rand_points(20, 1), np.array([0.3, -0.2]))
+        assert ws.top == mark and not tape.nodes
+    assert not out.requires_grad
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e120])
+def test_diverging_or_overflowing_flow_raises(scale):
+    mlp = small_mlp(d=2, seed=9, final_scale=scale)
+    with pytest.raises(NonFiniteValue, match="flow trajectory diverged"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrate_flow(mlp, rand_points(5, 1), np.array([0.5, 0.5]), FlowConfig(4))

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +160,37 @@ def test_ply_other_elements_are_skipped_and_polygons_fanned(tmp_path):
                                 face_header, [[4, 0, 1, 2, 3], [0, 1]]))
     mesh = load_mesh(path)
     np.testing.assert_array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
+
+
+@pytest.mark.parametrize("polys", [
+    [[0, 1, 2, 3], [0, 3, 4, 5]],  # one list length: a single structured read
+    [[0, 1, 2], [0, 2, 3, 4, 5]],  # lengths vary: read record by record
+])
+def test_binary_ply_polygons_are_fanned(tmp_path, polys):
+    hexagon = [[np.cos(a), np.sin(a), 0.0] for a in np.arange(6) * np.pi / 3]
+    raw = b"".join(struct.pack(">3f", *r) for r in hexagon)
+    raw += b"".join(struct.pack(f">B{len(p)}i", len(p), *p) for p in polys)
+    path = tmp_path / "polys.ply"
+    path.write_bytes(_ply_bytes("binary_big_endian", ["float x", "float y", "float z"], hexagon,
+                                "element face 2\nproperty list uchar int vertex_indices\n",
+                                polys, raw))
+    mesh = load_mesh(path)
+    np.testing.assert_array_equal(mesh.vertices, np.float32(hexagon))
+    fans = [[p[0], p[j], p[j + 1]] for p in polys for j in range(1, len(p) - 1)]
+    np.testing.assert_array_equal(mesh.faces, fans)
+
+
+def test_binary_ply_load_memory_stays_near_file_size(tmp_path):
+    path = tmp_path / "sphere.ply"
+    save_mesh(icosphere(6), path)
+    tracemalloc.start()
+    try:
+        mesh = load_mesh(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_faces == 81920
+    assert peak < 4 * path.stat().st_size
 
 
 @pytest.mark.parametrize("body", [

@@ -1,7 +1,12 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flowssm.errors import DataError, DegenerateDataWarning
+from flowssm.autodiff import Tensor
+from flowssm.errors import DataError, DegenerateDataWarning, NonFiniteLoss
 from flowssm.mesh import chamfer_distance, sample_surface
 from flowssm.flow import FlowConfig
 from flowssm.model import (PcaBasis, TrainingConfig, fit_latent, fit_pca,
@@ -194,6 +199,34 @@ def test_fit_latent_on_fresh_model_does_not_worsen_identity(ellipsoid_family):
     zero_chamfer = chamfer_distance(model.decode_points(tpl, model.zero_state()),
                                     target.points)
     assert fit_chamfer <= zero_chamfer + 1e-12
+
+
+def test_fit_latent_in_two_threads_equals_sequential(tiny_model):
+    """Tapes and flow workspaces are per thread: two fits at once give the
+    states the same fits give one after the other."""
+    model = tiny_model["model"]
+    targets = tiny_model["shapes"][8:10]
+    expected = [fit_latent(model, t, iters=12, seed=5)[0] for t in targets]
+    start = threading.Barrier(2)
+
+    def fit(target):
+        start.wait()
+        return fit_latent(model, target, iters=12, seed=5)[0]
+
+    with ThreadPoolExecutor(2) as pool:
+        states = list(pool.map(fit, targets))
+    for got, want in zip(states, expected):
+        np.testing.assert_array_equal(got.z_global, want.z_global)
+        np.testing.assert_array_equal(got.z_local, want.z_local)
+
+
+def test_fit_latent_divergence_is_a_non_finite_loss(tiny_model):
+    model = tiny_model["model"]
+    wild = model.mlp_global.frozen()
+    wild.params = {k: Tensor(p.data * 1e3) for k, p in wild.params.items()}
+    with pytest.raises(NonFiniteLoss, match="global latent fit diverged: flow trajectory diverged"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit_latent(replace(model, mlp_global=wild), tiny_model["shapes"][8], iters=3, seed=0)
 
 
 def test_fit_latent_sparse_one_sided(tiny_model):
