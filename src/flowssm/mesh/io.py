@@ -202,12 +202,10 @@ def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     for name, count, props in elements:
         names, lists = [p[0] for p in props], [p[1] is not None for p in props]
         rows = records(props, count) if fmt != "ascii" and props else None
-        if rows is not None:
-            pass
-        elif any(lists):
+        if rows is None and any(lists):
             rows = [[read(code)[0] if cnt is None else read(code, read(cnt)[0])
                      for _, cnt, code in props] for _ in range(count)]
-        else:  # fixed-size records: the whole element is one read
+        elif rows is None:  # fixed-size records: the whole element is one read
             rows = list(zip(*[iter(read("".join(p[2] for p in props), count))] * len(props)))
         if name == "vertex":
             xyz = [names.index(c) for c in "xyz"]
