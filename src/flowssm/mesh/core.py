@@ -47,11 +47,6 @@ class TriMesh:
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         return 0.5 * np.linalg.norm(cross, axis=1)
 
-    def area(self) -> float:
-        if self.faces.shape[0] == 0:
-            return 0.0
-        return float(self.face_areas().sum())
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 

@@ -177,7 +177,8 @@ def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     def records(props, count):
         """Binary records as one structured array: fields f<i>, and n<i> for
         the length of list i. Lists must all have the first record's lengths;
-        None (and nothing read) when they do not."""
+        None (and nothing read) when they do not, or when the data is too short
+        for that many such records (the per-record reader then decides)."""
         nonlocal pos
         start, fields, lengths = pos, [], {}
         for i, (_, cnt, code) in enumerate(props):  # walk the first record
@@ -191,7 +192,7 @@ def _parse_ply(data: bytes) -> tuple[np.ndarray, np.ndarray]:
                            (f"f{i}", _PLY_ENDIAN[fmt] + code, (lengths[i],))]
         dtype, pos = np.dtype(fields), start
         if dtype.itemsize * count > len(body) - pos:
-            raise ParseError("data ends early")
+            return None
         rows = np.frombuffer(body, dtype, count, pos)
         if not all((rows[f"n{i}"] == n).all() for i, n in lengths.items()):
             return None

@@ -272,14 +272,14 @@ def _chamfer_terms(deformed: Tensor, target: np.ndarray, mode: str) -> Tensor:
     raise DataError(f"unknown loss mode {mode!r}")
 
 
-def _fit_loss(loss_fn, failure: str, tape: Tape | None = None) -> float:
-    """Record ``loss_fn()`` on ``tape`` (a fresh one by default) and
-    backpropagate; gradients land in its leaves.
+def _fit_loss(loss_fn, failure: str) -> float:
+    """Record ``loss_fn()`` on a fresh tape and backpropagate; gradients land
+    in its leaves.
 
     A non-finite value raises NonFiniteLoss("<failure>: <cause>").
     """
     try:
-        with tape or Tape() as tape:
+        with Tape() as tape:
             loss = loss_fn()
             ad.backward(loss, tape)
     except NonFiniteValue as exc:
@@ -323,12 +323,7 @@ def _train_stage(shapes, template, cfg: TrainingConfig, rng, name: str,
                     loss = term if loss is None else loss + term
                 return ad.scale(loss, 1.0 / len(batch))
 
-            # The previous batch's tape is freed only here, below this batch's
-            # samples on the heap. Freed at the heap top, glibc would hand it back
-            # to the kernel and every batch would fault it in again: training at
-            # the benchmark config ran 40% slower on 2 cores.
-            tape = Tape()
-            loss = _fit_loss(batch_loss, f"{name} stage diverged at epoch {epoch}", tape)
+            loss = _fit_loss(batch_loss, f"{name} stage diverged at epoch {epoch}")
             opt.step()
             epoch_loss.append(loss)
         losses.append(float(np.mean(epoch_loss)))

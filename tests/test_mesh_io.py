@@ -165,6 +165,7 @@ def test_ply_other_elements_are_skipped_and_polygons_fanned(tmp_path):
 @pytest.mark.parametrize("polys", [
     [[0, 1, 2, 3], [0, 3, 4, 5]],  # one list length: a single structured read
     [[0, 1, 2], [0, 2, 3, 4, 5]],  # lengths vary: read record by record
+    [[0, 2, 3, 4, 5], [0, 1, 2]],  # a long first record: still record by record
 ])
 def test_binary_ply_polygons_are_fanned(tmp_path, polys):
     hexagon = [[np.cos(a), np.sin(a), 0.0] for a in np.arange(6) * np.pi / 3]
